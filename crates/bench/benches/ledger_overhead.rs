@@ -3,7 +3,7 @@
 //! on provenance collection in the search), vs a disabled tracer.
 //!
 //! Provenance is gated on `tracer.enabled()` end to end — the search only
-//! materializes screening probes and placement alternatives when asked —
+//! materializes screening witnesses and placement runner-ups when asked —
 //! so with no sink attached the ledger machinery must be free. Mirrors
 //! `trace_overhead`: two Criterion series plus a loud assertion that the
 //! disabled path stays within noise of the plain run.

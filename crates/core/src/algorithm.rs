@@ -422,21 +422,24 @@ fn one_pass(
             if provenance {
                 // Record-only: cost ce_k is the makespan had the candidate
                 // been chosen, computed against the pre-apply state for the
-                // chosen and rejected placements alike.
+                // chosen and runner-up placements alike. The runner-up is
+                // the earliest-completion feasible alternative (ties to the
+                // lowest processor index), the one the greedy order ranks
+                // next.
                 decisions.push(PlacementEvidence {
                     task: t,
                     processor: ProcessorId::new(p),
                     completion,
                     cost: state.makespan().max(completion),
-                    rejected: feasible
+                    runner_up: feasible
                         .iter()
                         .filter(|&&(q, _)| q != p)
+                        .min_by_key(|&&(_, c)| c)
                         .map(|&(q, c)| PlacementAlternative {
                             processor: ProcessorId::new(q),
                             completion: c,
                             cost: state.makespan().max(c),
-                        })
-                        .collect(),
+                        }),
                 });
             }
             state.apply(tasks, comm, t, ProcessorId::new(p));

@@ -473,22 +473,19 @@ impl Driver {
                 if let Some(prov) = &outcome.provenance {
                     for s in &prov.screened {
                         let t = &batch.tasks()[s.task];
+                        let w = &s.witness;
                         tracer.emit(
                             ended,
                             TraceEvent::TaskScreened {
                                 task: t.id().as_u64(),
                                 phase: phase_no,
                                 deadline_us: t.deadline().as_micros(),
-                                probes: s
-                                    .probes
-                                    .iter()
-                                    .map(|p| ScreenProbe {
-                                        processor: p.processor.index(),
-                                        available_us: p.available.as_micros(),
-                                        demand_us: p.demand.as_micros(),
-                                        completion_us: p.completion.as_micros(),
-                                    })
-                                    .collect(),
+                                witness: ScreenProbe {
+                                    processor: w.processor.index(),
+                                    available_us: w.available.as_micros(),
+                                    demand_us: w.demand.as_micros(),
+                                    completion_us: w.completion.as_micros(),
+                                },
                             },
                         );
                     }
@@ -509,19 +506,15 @@ impl Driver {
                                     .topology()
                                     .filter(|t| t.nodes() >= 2)
                                     .map(|t| t.node_of(d.processor)),
-                                rejected: d
-                                    .rejected
-                                    .iter()
-                                    .map(|r| PlacementProbe {
-                                        processor: r.processor.index(),
-                                        completion_us: r.completion.as_micros(),
-                                        cost_us: r.cost.as_micros(),
-                                        shard: cfg
-                                            .comm
-                                            .topology()
-                                            .map_or(0, |t| t.node_of(r.processor)),
-                                    })
-                                    .collect(),
+                                runner_up: d.runner_up.map(|r| PlacementProbe {
+                                    processor: r.processor.index(),
+                                    completion_us: r.completion.as_micros(),
+                                    cost_us: r.cost.as_micros(),
+                                    shard: cfg
+                                        .comm
+                                        .topology()
+                                        .map_or(0, |t| t.node_of(r.processor)),
+                                }),
                             },
                         );
                     }

@@ -178,22 +178,25 @@ pub enum TraceEvent {
     },
     /// A batch task failed the phase-level viability screen: against the
     /// initial finish times it could not meet its deadline on any
-    /// processor, so the whole phase tree excluded it. The probes carry the
-    /// actual feasibility-test numbers per candidate processor.
+    /// processor, so the whole phase tree excluded it. The witness is the
+    /// earliest-completion probe; it misses the deadline, so every
+    /// processor does.
     TaskScreened {
         /// The task's identifier.
         task: u64,
         /// The phase whose screen rejected it.
         phase: u64,
-        /// The deadline `d_l` the probes were tested against, in
+        /// The deadline `d_l` the witness was tested against, in
         /// microseconds.
         deadline_us: u64,
-        /// One feasibility probe per candidate processor.
-        probes: Vec<ScreenProbe>,
+        /// The probe with the earliest completion (ties to the lowest
+        /// processor index).
+        witness: ScreenProbe,
     },
     /// The scheduler committed a task to a processor in the delivered
     /// schedule, recording the cost-function values of the chosen placement
-    /// and of the rejected alternatives evaluated at the same expansion.
+    /// and of its runner-up: the highest-ranked alternative evaluated at the
+    /// same expansion.
     PlacementDecided {
         /// The task's identifier.
         task: u64,
@@ -212,9 +215,9 @@ pub enum TraceEvent {
         /// pre-topology traces (the field deserializes to `None` when
         /// absent).
         shard: Option<usize>,
-        /// The alternative placements for this task that the search
-        /// evaluated and ranked lower (empty for one-shot choices).
-        rejected: Vec<PlacementProbe>,
+        /// The best alternative placement for this task that the search
+        /// evaluated at the same expansion (`None` when it had none).
+        runner_up: Option<PlacementProbe>,
     },
     /// Physical wall-clock time the host spent computing a phase's
     /// schedule, next to the virtual budget it was allocated — the paper's
@@ -452,12 +455,12 @@ impl fmt::Display for TraceEvent {
                 task,
                 phase,
                 deadline_us,
-                probes,
+                witness,
             } => write!(
                 f,
-                "task {task} screened out in phase {phase}: deadline={deadline_us}us \
-                 infeasible on all {} processors",
-                probes.len()
+                "task {task} screened out in phase {phase}: earliest completion \
+                 P{}={}us > deadline={deadline_us}us",
+                witness.processor, witness.completion_us
             ),
             TraceEvent::PlacementDecided {
                 task,
@@ -466,7 +469,7 @@ impl fmt::Display for TraceEvent {
                 completion_us,
                 cost_us,
                 shard,
-                rejected,
+                runner_up,
             } => {
                 write!(f, "task {task} placed on P{processor}")?;
                 if let Some(s) = shard {
@@ -474,10 +477,12 @@ impl fmt::Display for TraceEvent {
                 }
                 write!(
                     f,
-                    " in phase {phase} (completion={completion_us}us \
-                     cost={cost_us}us, {} rejected)",
-                    rejected.len()
-                )
+                    " in phase {phase} (completion={completion_us}us cost={cost_us}us"
+                )?;
+                match runner_up {
+                    Some(r) => write!(f, ", runner-up P{} cost={}us)", r.processor, r.cost_us),
+                    None => write!(f, ", no runner-up)"),
+                }
             }
             TraceEvent::SchedulerOverhead {
                 phase,
@@ -681,20 +686,12 @@ mod tests {
                 task: 2,
                 phase: 1,
                 deadline_us: 400,
-                probes: vec![
-                    ScreenProbe {
-                        processor: 0,
-                        available_us: 300,
-                        demand_us: 200,
-                        completion_us: 500,
-                    },
-                    ScreenProbe {
-                        processor: 1,
-                        available_us: 350,
-                        demand_us: 180,
-                        completion_us: 530,
-                    },
-                ],
+                witness: ScreenProbe {
+                    processor: 0,
+                    available_us: 300,
+                    demand_us: 200,
+                    completion_us: 500,
+                },
             },
             TraceEvent::PlacementDecided {
                 task: 3,
@@ -703,12 +700,12 @@ mod tests {
                 completion_us: 700,
                 cost_us: 900,
                 shard: Some(1),
-                rejected: vec![PlacementProbe {
+                runner_up: Some(PlacementProbe {
                     processor: 0,
                     completion_us: 950,
                     cost_us: 950,
                     shard: 0,
-                }],
+                }),
             },
             TraceEvent::SchedulerOverhead {
                 phase: 1,

@@ -110,18 +110,20 @@ pub struct ScreenProbe {
     pub completion: Time,
 }
 
-/// Why one batch task failed the phase-level viability screen: one failed
-/// probe per candidate processor.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Why one batch task failed the phase-level viability screen: its
+/// earliest-completion probe. That probe misses the deadline, so every
+/// other processor's does too — the one witness proves the verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScreenEvidence {
     /// Batch index of the screened task.
     pub task: usize,
-    /// The failed feasibility probes, one per processor.
-    pub probes: Vec<ScreenProbe>,
+    /// The probe with the least `available + demand`, ties to the lowest
+    /// processor index.
+    pub witness: ScreenProbe,
 }
 
 /// A candidate placement the search evaluated at the same expansion as a
-/// delivered assignment but ranked lower.
+/// delivered assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacementAlternative {
     /// The rejected processor.
@@ -134,8 +136,8 @@ pub struct PlacementAlternative {
 }
 
 /// Why a delivered assignment picked the processor it did: the chosen
-/// placement's cost next to every sibling alternative for the same task.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// placement's cost next to the best sibling alternative for the same task.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacementEvidence {
     /// Batch index of the placed task.
     pub task: usize,
@@ -145,15 +147,16 @@ pub struct PlacementEvidence {
     pub completion: Time,
     /// The chosen placement's cost `ce_k`.
     pub cost: Time,
-    /// Same-task alternatives evaluated at the same expansion and ranked
-    /// lower (empty under sequence-oriented layouts, where siblings differ
-    /// by task rather than processor).
-    pub rejected: Vec<PlacementAlternative>,
+    /// The highest-ranked same-task alternative evaluated at the same
+    /// expansion, in the search's own child order (`None` when there was
+    /// none, e.g. under sequence-oriented layouts, where siblings differ by
+    /// task rather than processor).
+    pub runner_up: Option<PlacementAlternative>,
 }
 
 /// Decision evidence for one scheduling phase, collected only when
 /// [`SearchParams::provenance`] is set: which tasks the viability screen
-/// rejected (with the actual test operands) and why each delivered
+/// rejected (with one witness probe each) and why each delivered
 /// assignment chose its processor. Collection is record-only — it never
 /// alters the search order, the delivered schedule, or the stats.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -484,8 +487,8 @@ fn search_core(
     // Screening it out once keeps expansions from re-evaluating it at every
     // level. (Like the paper's per-phase batch expiry test, this screen is
     // not charged against the quantum; screened tasks stay in the batch.)
-    // Under provenance every probe is materialized so a screen rejection
-    // carries the actual test operands; the verdicts are identical.
+    // Under provenance a screen rejection also records its witness probe;
+    // the verdicts are identical.
     let t_screen = prof.start();
     let screened_evidence = screen_batch(params, viable);
     prof.stop(Stage::Screen, t_screen);
@@ -1240,92 +1243,100 @@ impl Ctx<'_, '_> {
 
 /// The phase-level viability screen over the whole batch: fills `viable`
 /// with one verdict per task and returns the evidence for rejected tasks
-/// (empty unless [`SearchParams::provenance`] is set, which materializes
-/// every probe's operands; the verdicts are identical either way).
+/// (empty unless [`SearchParams::provenance`] is set). One short-circuiting
+/// loop serves both modes: a rejected task has scanned every processor, so
+/// its earliest-completion witness falls out of the same pass.
 fn screen_batch(params: &SearchParams<'_>, viable: &mut Vec<bool>) -> Vec<ScreenEvidence> {
     let mut screened_evidence: Vec<ScreenEvidence> = Vec::new();
-    if params.provenance {
-        for (idx, t) in params.tasks.iter().enumerate() {
-            let probes: Vec<ScreenProbe> = ProcessorId::all(params.initial_finish.len())
-                .map(|p| {
-                    let available = params.initial_finish[p.index()];
-                    let demand = params.comm.demand(t, p);
-                    ScreenProbe {
-                        processor: p,
-                        available,
-                        demand,
-                        completion: available + demand,
-                    }
-                })
-                .collect();
-            let ok = probes.iter().any(|pr| t.meets_deadline(pr.completion));
-            if !ok {
-                screened_evidence.push(ScreenEvidence { task: idx, probes });
+    for (idx, t) in params.tasks.iter().enumerate() {
+        let mut witness: Option<ScreenProbe> = None;
+        let ok = ProcessorId::all(params.initial_finish.len()).any(|p| {
+            let available = params.initial_finish[p.index()];
+            let demand = params.comm.demand(t, p);
+            let completion = available + demand;
+            if params.provenance && witness.is_none_or(|w| completion < w.completion) {
+                witness = Some(ScreenProbe {
+                    processor: p,
+                    available,
+                    demand,
+                    completion,
+                });
             }
-            viable.push(ok);
+            t.meets_deadline(completion)
+        });
+        viable.push(ok);
+        if let (false, Some(witness)) = (ok, witness) {
+            screened_evidence.push(ScreenEvidence { task: idx, witness });
         }
-    } else {
-        viable.extend(params.tasks.iter().map(|t| {
-            ProcessorId::all(params.initial_finish.len()).any(|p| {
-                t.meets_deadline(params.initial_finish[p.index()] + params.comm.demand(t, p))
-            })
-        }));
     }
     screened_evidence
 }
 
-/// Same-expansion alternatives for one delivered node: every sibling in
-/// `arena` with the same parent and task, in generation order.
-fn rejected_siblings(
+/// The runner-up of arena node `id`: its highest-ranked same-task sibling.
+/// An expansion pushes its children as one contiguous block, lowest rank
+/// first, so the siblings are the run of nodes around `id` that share its
+/// parent and the best of them is the last same-task one — a scan of one
+/// block, not of the arena.
+fn runner_up(
     arena: &[Node],
     node_costs: &[(Time, Time)],
-    exclude: usize,
-    parent: Option<usize>,
-    task: usize,
-) -> Vec<PlacementAlternative> {
-    arena
-        .iter()
-        .enumerate()
-        .filter(|&(sid, sib)| sid != exclude && sib.parent == parent && sib.task == task)
-        .map(|(sid, sib)| PlacementAlternative {
-            processor: sib.processor,
-            completion: node_costs[sid].0,
-            cost: node_costs[sid].1,
-        })
-        .collect()
+    id: usize,
+) -> Option<PlacementAlternative> {
+    let Node { parent, task, .. } = arena[id];
+    let same = |j: &usize| arena[*j].task == task;
+    let above = (id + 1..arena.len())
+        .take_while(|&j| arena[j].parent == parent)
+        .filter(same)
+        .last();
+    let pick = above.or_else(|| {
+        (0..id)
+            .rev()
+            .take_while(|&j| arena[j].parent == parent)
+            .find(same)
+    });
+    pick.map(|j| PlacementAlternative {
+        processor: arena[j].processor,
+        completion: node_costs[j].0,
+        cost: node_costs[j].1,
+    })
+}
+
+/// Root-first arena ids of the path ending at `id`.
+fn path_to(arena: &[Node], id: usize) -> Vec<usize> {
+    let mut path_ids = Vec::new();
+    let mut cursor = Some(id);
+    while let Some(i) = cursor {
+        path_ids.push(i);
+        cursor = arena[i].parent;
+    }
+    path_ids.reverse();
+    path_ids
 }
 
 /// Decision evidence for the delivered path: each assignment's chosen cost
-/// next to its same-task siblings (the rejected alternatives of the same
-/// expansion). Reconstructed after the fact so collection cannot perturb
-/// the search.
+/// next to its runner-up. Reconstructed after the fact so collection cannot
+/// perturb the search.
 fn phase_provenance(
     arena: &[Node],
     node_costs: &[(Time, Time)],
     best_id: Option<usize>,
     screened: Vec<ScreenEvidence>,
 ) -> PhaseProvenance {
-    let mut decisions = Vec::new();
-    if let Some(best_id) = best_id {
-        let mut path_ids = Vec::new();
-        let mut cursor = Some(best_id);
-        while let Some(i) = cursor {
-            path_ids.push(i);
-            cursor = arena[i].parent;
-        }
-        path_ids.reverse();
-        for &id in &path_ids {
-            let node = &arena[id];
-            let (completion, cost) = node_costs[id];
-            decisions.push(PlacementEvidence {
-                task: node.task,
-                processor: node.processor,
-                completion,
-                cost,
-                rejected: rejected_siblings(arena, node_costs, id, node.parent, node.task),
-            });
-        }
-    }
+    let decisions = best_id.map_or_else(Vec::new, |best_id| {
+        path_to(arena, best_id)
+            .into_iter()
+            .map(|id| {
+                let (node, (completion, cost)) = (&arena[id], node_costs[id]);
+                PlacementEvidence {
+                    task: node.task,
+                    processor: node.processor,
+                    completion,
+                    cost,
+                    runner_up: runner_up(arena, node_costs, id),
+                }
+            })
+            .collect()
+    });
     PhaseProvenance {
         screened,
         decisions,
@@ -1958,45 +1969,32 @@ fn search_parallel_core(
 
     // Provenance merge: the screen evidence comes from the shared prologue;
     // the decision path from the owning arena. A subtree's depth-1 node
-    // repeats a stage root child, so its rejected alternatives are the
-    // *other* root children (stage arena); deeper nodes find their siblings
-    // in the subtree's own arena. The values match the serial engine's —
-    // only arena ids differ, and evidence carries none.
+    // repeats a stage root child, so its runner-up is among the *other*
+    // root children (stage arena); deeper nodes find their siblings in the
+    // subtree's own arena. The values match the serial engine's — only
+    // arena ids differ, and evidence carries none.
     let provenance = params.provenance.then(|| match owner {
         None => phase_provenance(work.arena, work.node_costs, best.2, screened_evidence),
         Some(i) => {
             let sub = &par.subs[i];
             let id = best.2.expect("a subtree best always names a vertex");
-            let mut path_ids = Vec::new();
-            let mut cursor = Some(id);
-            while let Some(nid) = cursor {
-                path_ids.push(nid);
-                cursor = sub.arena[nid].parent;
-            }
-            path_ids.reverse();
-            let mut decisions = Vec::new();
-            for &nid in &path_ids {
-                let node = &sub.arena[nid];
-                let (completion, cost) = sub.node_costs[nid];
-                let rejected = if node.parent.is_none() {
-                    rejected_siblings(
-                        work.arena,
-                        work.node_costs,
-                        specs[i].root_id,
-                        None,
-                        node.task,
-                    )
-                } else {
-                    rejected_siblings(&sub.arena, &sub.node_costs, nid, node.parent, node.task)
-                };
-                decisions.push(PlacementEvidence {
-                    task: node.task,
-                    processor: node.processor,
-                    completion,
-                    cost,
-                    rejected,
-                });
-            }
+            let decisions = path_to(&sub.arena, id)
+                .into_iter()
+                .map(|nid| {
+                    let (node, (completion, cost)) = (&sub.arena[nid], sub.node_costs[nid]);
+                    PlacementEvidence {
+                        task: node.task,
+                        processor: node.processor,
+                        completion,
+                        cost,
+                        runner_up: if node.parent.is_none() {
+                            runner_up(work.arena, work.node_costs, specs[i].root_id)
+                        } else {
+                            runner_up(&sub.arena, &sub.node_costs, nid)
+                        },
+                    }
+                })
+                .collect();
             PhaseProvenance {
                 screened: screened_evidence,
                 decisions,
@@ -2588,37 +2586,77 @@ mod tests {
 
     #[test]
     fn provenance_records_screen_operands_and_placement_costs() {
-        // Task 1 is infeasible (p=100 > d=90): screened, with one failed
-        // probe per processor; the others are placed, each decision carrying
-        // its chosen cost and same-task alternatives.
+        // Task 1 cannot meet d=90 anywhere (completions 160, 100, 130): its
+        // witness is the earliest-completion probe, P1. Tasks 0 and 2 are
+        // placed in EDF order; each decision carries the highest-ranked
+        // same-task sibling in LoadBalance order as its runner-up.
         let tasks = vec![
             mk_task(0, 100, 150, &[]),
             mk_task(1, 100, 90, &[]),
-            mk_task(2, 100, 300, &[]),
+            mk_task(2, 100, 400, &[]),
         ];
         let comm = CommModel::free();
         let repr = Representation::assignment_oriented();
-        let initial = [Time::ZERO; 2];
+        let initial = [Time::from_micros(60), Time::ZERO, Time::from_micros(30)];
         let mut p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
         p.provenance = true;
         let out = search_schedule(&p, &mut free_meter());
         let prov = out.provenance.as_ref().expect("provenance requested");
-        assert_eq!(prov.screened.len(), 1);
-        assert_eq!(prov.screened[0].task, 1);
-        assert_eq!(prov.screened[0].probes.len(), 2);
-        for probe in &prov.screened[0].probes {
-            assert_eq!(probe.completion, probe.available + probe.demand);
-            assert!(!tasks[1].meets_deadline(probe.completion));
-        }
-        assert_eq!(prov.decisions.len(), out.assignments.len());
+        let us = Time::from_micros;
+        assert_eq!(
+            prov.screened,
+            vec![ScreenEvidence {
+                task: 1,
+                witness: ScreenProbe {
+                    processor: ProcessorId::new(1),
+                    available: Time::ZERO,
+                    demand: Duration::from_micros(100),
+                    completion: us(100),
+                },
+            }]
+        );
+        let alt = |p: usize, c: u64| PlacementAlternative {
+            processor: ProcessorId::new(p),
+            completion: us(c),
+            cost: us(c),
+        };
+        assert_eq!(
+            prov.decisions,
+            vec![
+                // Depth 1: P1 (makespan 100) beats P2 (130); P0 misses.
+                PlacementEvidence {
+                    task: 0,
+                    processor: ProcessorId::new(1),
+                    completion: us(100),
+                    cost: us(100),
+                    runner_up: Some(alt(2, 130)),
+                },
+                // Depth 2 over finish times [60, 100, 30]: P2 (130) beats
+                // P0 (160) and P1 (200).
+                PlacementEvidence {
+                    task: 2,
+                    processor: ProcessorId::new(2),
+                    completion: us(130),
+                    cost: us(130),
+                    runner_up: Some(alt(0, 160)),
+                },
+            ]
+        );
         for (d, a) in prov.decisions.iter().zip(&out.assignments) {
-            assert_eq!(d.task, a.task);
-            assert_eq!(d.processor, a.processor);
-            assert_eq!(d.completion, a.completion);
-            for r in &d.rejected {
-                assert_ne!(r.processor, d.processor);
-            }
+            assert_eq!(
+                (d.task, d.processor, d.completion),
+                (a.task, a.processor, a.completion)
+            );
         }
+
+        // Equal earliest completions tie to the lowest processor index.
+        let flat = [Time::ZERO; 3];
+        let mut p3 = params(&tasks, &comm, &flat, &repr, ChildOrder::LoadBalance);
+        p3.provenance = true;
+        let out3 = search_schedule(&p3, &mut free_meter());
+        let screened = &out3.provenance.as_ref().unwrap().screened;
+        assert_eq!(screened.len(), 1);
+        assert_eq!(screened[0].witness.processor, ProcessorId::new(0));
 
         // Collection is record-only: schedule and stats are bit-identical
         // with provenance off.

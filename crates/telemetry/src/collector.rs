@@ -16,7 +16,7 @@
 //! | `phase.replay_avoided` | histogram | replay applies avoided per phase |
 //! | `phase.scheduled` | histogram | tasks dispatched per phase |
 //! | `phase.sched_wall_ns` | histogram | measured scheduler wall time per phase |
-//! | `profile.<stage>_ns` | histogram | per-phase wall time of one search stage (`screen`, `fill`, `cost`, `shard`, `apply`, `undo`, `merge`), from `PhaseProfiled` |
+//! | `profile.<stage>_ns` | histogram | per-phase wall time of one search stage (`screen`, `fill`, `cost`, `shard`, `apply`, `undo`, `merge`, `select`), from `PhaseProfiled` |
 //! | `profile.imbalance_x100` | histogram | parallel-walk imbalance (max/mean walk vertices × 100) on split phases |
 //! | `task.admitted` | counter | tasks admitted into a batch |
 //! | `task.screened` | counter | viability-screen rejections recorded |
@@ -192,6 +192,7 @@ impl TraceSink for MetricsCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paragon_des::trace::ScreenProbe;
     use paragon_des::Duration;
 
     #[test]
@@ -232,7 +233,12 @@ mod tests {
                 task: 9,
                 phase: 0,
                 deadline_us: 120,
-                probes: Vec::new(),
+                witness: ScreenProbe {
+                    processor: 0,
+                    available_us: 100,
+                    demand_us: 40,
+                    completion_us: 140,
+                },
             },
         );
         c.emit(
@@ -244,7 +250,7 @@ mod tests {
                 completion_us: 150,
                 cost_us: 150,
                 shard: None,
-                rejected: Vec::new(),
+                runner_up: None,
             },
         );
         c.emit(

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// The trace schema version this crate writes and reads. Bump it whenever
 /// a [`TraceEvent`] change breaks old readers (renaming or removing a
 /// variant or field; additions are compatible).
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The header manifest on the first line of a JSONL trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -203,13 +203,20 @@ mod tests {
 
     #[test]
     fn unknown_schema_version_is_rejected_gracefully() {
-        let text = "{\"schema_version\": 999}\n{\"t_us\": 0, \"event\": {\"TaskDropped\": {\"task\": 1}}}\n";
-        let err = parse_trace(text).unwrap_err();
-        assert!(
-            err.contains("unknown trace schema version 999"),
-            "got: {err}"
-        );
-        assert!(err.contains("supports version 1"), "got: {err}");
+        // A newer writer, and a stale one from before the witness-only
+        // provenance fields: both fail on the header, not on a field.
+        for version in [999, 1] {
+            let text = format!(
+                "{{\"schema_version\": {version}}}\n\
+                 {{\"t_us\": 0, \"event\": {{\"TaskDropped\": {{\"task\": 1}}}}}}\n"
+            );
+            let err = parse_trace(&text).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown trace schema version {version}")),
+                "got: {err}"
+            );
+            assert!(err.contains("supports version 2"), "got: {err}");
+        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! [`DecisionLedger`] is a [`TraceSink`] that folds the event stream into
 //! one [`TaskDossier`] per task: the admission parameters every later
-//! feasibility test uses, each viability screening with its actual
-//! feasibility-test operands, each placement decision with the cost of the
-//! chosen processor and of the rejected alternatives, dispatch slack, and
+//! feasibility test uses, each viability screening with the operands of its
+//! witness probe, each placement decision with the cost of the chosen
+//! processor and of its runner-up, dispatch slack, and
 //! the fault fallout (orphanings, loss). From those it derives a final
 //! [`Attribution`] answering the question the aggregate counters cannot:
 //! *why* did this particular task hit or miss?
@@ -29,21 +29,22 @@ use paragon_des::Time;
 use serde::{Deserialize, Serialize};
 
 /// One viability screening a task failed, with the feasibility-test
-/// operands per candidate processor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// operands of its witness: the earliest-completion processor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScreeningRecord {
     /// When the screening phase ended, in microseconds.
     pub t_us: u64,
     /// The phase whose screen rejected the task.
     pub phase: u64,
-    /// The deadline `d_l` the probes were tested against, in microseconds.
+    /// The deadline `d_l` the witness was tested against, in microseconds.
     pub deadline_us: u64,
-    /// One probe per candidate processor.
-    pub probes: Vec<ScreenProbe>,
+    /// The earliest-completion probe; it misses the deadline, so every
+    /// processor does.
+    pub witness: ScreenProbe,
 }
 
 /// One placement decision that put the task into a delivered schedule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlacementRecord {
     /// When the deciding phase ended, in microseconds.
     pub t_us: u64,
@@ -58,8 +59,9 @@ pub struct PlacementRecord {
     /// The node (shard) of the chosen processor on a hierarchical
     /// platform; `None` on flat runs and in pre-topology traces.
     pub shard: Option<usize>,
-    /// Alternatives the search evaluated and ranked lower.
-    pub rejected: Vec<PlacementProbe>,
+    /// The highest-ranked alternative the search evaluated at the same
+    /// expansion, if any.
+    pub runner_up: Option<PlacementProbe>,
 }
 
 /// One dispatch of the task to a processor.
@@ -102,7 +104,8 @@ pub enum Attribution {
         dropped_us: u64,
     },
     /// Screened — the feasibility test rejected it on every processor at
-    /// least once, with the operands on record — and then expired.
+    /// least once, with the earliest-completion witness on record — and
+    /// then expired.
     ScreenedThenExpired {
         /// Drop instant, in microseconds.
         dropped_us: u64,
@@ -194,17 +197,18 @@ impl TaskDossier {
             _ => lines.push("admitted: parameters not in trace".to_string()),
         }
         for s in &self.screenings {
-            let mut line = format!(
-                "phase {} screened it out at t={}us: completion vs deadline {}us on every processor —",
-                s.phase, s.t_us, s.deadline_us
-            );
-            for p in &s.probes {
-                line.push_str(&format!(
-                    " P{}: {}+{}={}us",
-                    p.processor, p.available_us, p.demand_us, p.completion_us
-                ));
-            }
-            lines.push(line);
+            let w = &s.witness;
+            lines.push(format!(
+                "phase {} screened it out at t={}us: earliest completion P{}: {}+{}={}us > \
+                 deadline {}us, so every processor misses",
+                s.phase,
+                s.t_us,
+                w.processor,
+                w.available_us,
+                w.demand_us,
+                w.completion_us,
+                s.deadline_us
+            ));
         }
         for pl in &self.placements {
             // Shards only render on hierarchical runs (the chosen shard is
@@ -219,20 +223,17 @@ impl TaskDossier {
                     pl.phase, pl.processor, pl.t_us, pl.completion_us, pl.cost_us
                 ),
             };
-            if !pl.rejected.is_empty() {
-                line.push_str("; rejected");
-                for r in &pl.rejected {
-                    if pl.shard.is_some() {
-                        line.push_str(&format!(
-                            " P{} (node {}, completion={}us cost={}us)",
-                            r.processor, r.shard, r.completion_us, r.cost_us
-                        ));
-                    } else {
-                        line.push_str(&format!(
-                            " P{} (completion={}us cost={}us)",
-                            r.processor, r.completion_us, r.cost_us
-                        ));
-                    }
+            if let Some(r) = &pl.runner_up {
+                if pl.shard.is_some() {
+                    line.push_str(&format!(
+                        "; runner-up P{} (node {}, completion={}us cost={}us)",
+                        r.processor, r.shard, r.completion_us, r.cost_us
+                    ));
+                } else {
+                    line.push_str(&format!(
+                        "; runner-up P{} (completion={}us cost={}us)",
+                        r.processor, r.completion_us, r.cost_us
+                    ));
                 }
             }
             lines.push(line);
@@ -432,13 +433,13 @@ impl TraceSink for DecisionLedger {
                 task,
                 phase,
                 deadline_us,
-                probes,
+                witness,
             } => {
                 self.entry(task).screenings.push(ScreeningRecord {
                     t_us,
                     phase,
                     deadline_us,
-                    probes,
+                    witness,
                 });
             }
             TraceEvent::PlacementDecided {
@@ -448,7 +449,7 @@ impl TraceSink for DecisionLedger {
                 completion_us,
                 cost_us,
                 shard,
-                rejected,
+                runner_up,
             } => {
                 self.entry(task).placements.push(PlacementRecord {
                     t_us,
@@ -457,7 +458,7 @@ impl TraceSink for DecisionLedger {
                     completion_us,
                     cost_us,
                     shard,
-                    rejected,
+                    runner_up,
                 });
             }
             TraceEvent::TaskDispatched {
@@ -575,12 +576,12 @@ mod tests {
                 completion_us: 120,
                 cost_us: 120,
                 shard: None,
-                rejected: vec![PlacementProbe {
+                runner_up: Some(PlacementProbe {
                     processor: 0,
                     completion_us: 140,
                     cost_us: 140,
                     shard: 0,
-                }],
+                }),
             },
         );
         ledger.emit(
@@ -611,7 +612,7 @@ mod tests {
         let d = ledger.dossier(1).unwrap();
         assert_eq!(d.deadline_us, Some(500));
         assert_eq!(d.placements.len(), 1);
-        assert_eq!(d.placements[0].rejected.len(), 1);
+        assert_eq!(d.placements[0].runner_up.map(|r| r.processor), Some(0));
         assert_eq!(d.dispatches.len(), 1);
         assert_eq!(d.comm_delay_us, Some(5));
         assert_eq!(d.started_us, Some(25));
@@ -624,7 +625,10 @@ mod tests {
         ));
         let text = d.narrative().join("\n");
         assert!(text.contains("placed it on P2"));
-        assert!(text.contains("rejected P0"));
+        assert!(
+            text.contains("runner-up P0 (completion=140us cost=140us)"),
+            "{text}"
+        );
         assert!(text.contains("verdict: Hit"));
     }
 
@@ -640,12 +644,12 @@ mod tests {
                 task: 2,
                 phase: 0,
                 deadline_us: 60,
-                probes: vec![ScreenProbe {
+                witness: ScreenProbe {
                     processor: 0,
                     available_us: 40,
                     demand_us: 30,
                     completion_us: 70,
-                }],
+                },
             },
         );
         ledger.emit(Time::from_micros(55), TraceEvent::TaskDropped { task: 1 });
@@ -664,8 +668,10 @@ mod tests {
         ));
         let text = ledger.dossier(2).unwrap().narrative().join("\n");
         assert!(
-            text.contains("P0: 40+30=70us"),
-            "operands on record: {text}"
+            text.contains(
+                "earliest completion P0: 40+30=70us > deadline 60us, so every processor misses"
+            ),
+            "witness on record: {text}"
         );
     }
 
@@ -730,7 +736,12 @@ mod tests {
                 task: 3,
                 phase: 1,
                 deadline_us: 100,
-                probes: Vec::new(),
+                witness: ScreenProbe {
+                    processor: 0,
+                    available_us: 60,
+                    demand_us: 50,
+                    completion_us: 110,
+                },
             },
         );
         ledger.emit(Time::from_micros(110), TraceEvent::TaskDropped { task: 3 });

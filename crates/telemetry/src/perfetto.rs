@@ -480,6 +480,7 @@ fn profile_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paragon_des::trace::ScreenProbe;
     use paragon_des::Duration;
 
     fn sample_run() -> PerfettoTracer {
@@ -664,7 +665,12 @@ mod tests {
                 task: 6,
                 phase: 0,
                 deadline_us: 25,
-                probes: Vec::new(),
+                witness: ScreenProbe {
+                    processor: 0,
+                    available_us: 30,
+                    demand_us: 10,
+                    completion_us: 40,
+                },
             },
         );
         p.emit(
@@ -685,7 +691,7 @@ mod tests {
                 completion_us: 60,
                 cost_us: 60,
                 shard: None,
-                rejected: Vec::new(),
+                runner_up: None,
             },
         );
         p.emit(

@@ -56,12 +56,12 @@ fn build_event(kind: u8, a: u64, b: u64, signed: i64) -> TraceEvent {
             task: a,
             phase: b,
             deadline_us: signed.unsigned_abs(),
-            probes: vec![ScreenProbe {
+            witness: ScreenProbe {
                 processor: b as usize,
                 available_us: a,
                 demand_us: signed.unsigned_abs(),
                 completion_us: a.wrapping_add(signed.unsigned_abs()),
-            }],
+            },
         },
         10 => TraceEvent::PlacementDecided {
             task: a,
@@ -70,12 +70,12 @@ fn build_event(kind: u8, a: u64, b: u64, signed: i64) -> TraceEvent {
             completion_us: a,
             cost_us: a.wrapping_add(b),
             shard: (signed >= 0).then_some((b as usize) % 3),
-            rejected: vec![PlacementProbe {
+            runner_up: a.is_multiple_of(2).then_some(PlacementProbe {
                 processor: (b as usize).wrapping_add(1),
                 completion_us: a.wrapping_add(1),
                 cost_us: a.wrapping_add(2),
                 shard: (b as usize) % 3,
-            }],
+            }),
         },
         11 => TraceEvent::SchedulerOverhead {
             phase: a,

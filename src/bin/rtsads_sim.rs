@@ -33,8 +33,8 @@
 //! also render as counter tracks next to the span tracks.
 //!
 //! `explain` reconstructs one task's causal chain — admission, screenings
-//! with the actual feasibility-test operands, placements with chosen and
-//! rejected costs, dispatch, faults, verdict — from a JSONL trace alone.
+//! with their earliest-completion witness, placements with chosen and
+//! runner-up costs, dispatch, faults, verdict — from a JSONL trace alone.
 //! `timeline` folds an existing JSONL trace into the same windows and
 //! prints an ASCII sparkline summary in the terminal.
 //! `--profile` turns on the search engine's stage-scoped self-profiler:

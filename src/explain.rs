@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 /// Version of the `--report-out` JSON schema. Bump on breaking changes to
 /// [`ReportFile`], [`RunReport`] or [`TaskDossier`] serialization.
-pub const REPORT_SCHEMA_VERSION: u32 = 1;
+pub const REPORT_SCHEMA_VERSION: u32 = 2;
 
 /// The contents of a `--report-out FILE.json`: aggregate counters plus the
 /// per-task attributions that explain them.
@@ -325,10 +325,17 @@ mod tests {
 
     #[test]
     fn unknown_report_schema_is_rejected() {
+        // A newer writer, and a stale one from before the witness-only
+        // provenance fields.
         let mut f = run_report_file(3);
-        f.schema_version = 99;
-        let err = ReportFile::parse(&f.to_json()).unwrap_err();
-        assert!(err.contains("unknown report schema version 99"), "{err}");
+        for version in [99, 1] {
+            f.schema_version = version;
+            let err = ReportFile::parse(&f.to_json()).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown report schema version {version}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -624,3 +624,137 @@ fn one_node_topology_is_bit_identical_to_the_flat_model() {
         topo_scratch.recycle(b.assignments);
     }
 }
+
+/// Witness soundness over the same 500 seeded flat instances plus a sharded
+/// twin of each (the same tasks on a 2+-node hierarchical topology, where
+/// the shard-first candidate screen engages), with provenance forced on:
+///
+/// 1. every screen witness is the argmin of `initial_finish[p] +
+///    comm.demand(t, p)` over all `p` (ties to the lowest index) and misses
+///    the deadline, so it proves the verdict alone;
+/// 2. every runner-up is a same-parent, same-task sibling on another
+///    processor: replaying the delivered prefix to the decision's parent
+///    reproduces its completion and cost, and it meets the deadline;
+/// 3. provenance is record-only: assignments, termination, viability,
+///    makespan, stats and meter are identical with it on and off.
+#[test]
+fn provenance_witnesses_are_sound_and_record_only() {
+    use rt_task::TopologySpec;
+    use sched_search::PathState;
+
+    let parent = SimRng::seed_from(0x5AD5_D1FF);
+    let mut on_scratch = SearchScratch::new();
+    let mut off_scratch = SearchScratch::new();
+    let (mut witnesses, mut runners_up, mut sharded_witnesses) = (0u64, 0u64, 0u64);
+    let mut shard_screens = 0u64;
+
+    for i in 0..INSTANCES {
+        let mut rng = parent.child(i);
+        let mut flat = random_instance(&mut rng);
+        flat.provenance = true;
+        let workers = flat.initial.len();
+        let mut variants = vec![("flat", flat)];
+        if workers >= 2 {
+            let base = &variants[0].1;
+            let nodes = rng.uniform_usize(2..workers + 1) as u32;
+            let racks = rng.uniform_usize(1..nodes as usize + 1) as u32;
+            let intra = rng.uniform_u64(0..100);
+            let topo = TopologySpec::new(workers as u32, nodes, racks, intra, 500, 2_000);
+            let sharded = Instance {
+                comm: CommModel::hierarchical(topo),
+                tasks: base.tasks.clone(),
+                initial: base.initial.clone(),
+                representation: base.representation.clone(),
+                child_order: base.child_order,
+                pruning: base.pruning,
+                vertex_cap: base.vertex_cap,
+                resources: base.resources.clone(),
+                provenance: true,
+                quantum: base.quantum,
+            };
+            variants.push(("sharded", sharded));
+        }
+
+        for (kind, inst) in &variants {
+            let at = format!("instance {i} {kind}");
+            let on_params = inst.params();
+            let mut off_params = inst.params();
+            off_params.provenance = false;
+            let (mut on_meter, mut off_meter) = (inst.meter(), inst.meter());
+            let on = search_schedule_with(&on_params, &mut on_meter, &mut on_scratch);
+            let off = search_schedule_with(&off_params, &mut off_meter, &mut off_scratch);
+
+            // 3. Record-only.
+            assert_eq!(on.assignments, off.assignments, "{at}");
+            assert_eq!(on.termination, off.termination, "{at}");
+            assert_eq!(on.n_viable, off.n_viable, "{at}");
+            assert_eq!(on.makespan, off.makespan, "{at}");
+            assert_eq!(on.stats, off.stats, "{at}");
+            assert_eq!(on_meter.vertices(), off_meter.vertices(), "{at}");
+            assert_eq!(on_meter.consumed(), off_meter.consumed(), "{at}");
+            assert!(off.provenance.is_none(), "{at}");
+            shard_screens += on.stats.shard_screens;
+            let prov = on.provenance.as_ref().expect("provenance requested");
+
+            // 1. Screen witnesses: one per screened task, each the argmin.
+            assert_eq!(prov.screened.len() as u64, on.stats.screened_tasks, "{at}");
+            for s in &prov.screened {
+                let t = &inst.tasks[s.task];
+                let argmin = (0..workers)
+                    .map(ProcessorId::new)
+                    .min_by_key(|&p| (inst.initial[p.index()] + inst.comm.demand(t, p), p))
+                    .unwrap();
+                let w = s.witness;
+                assert_eq!(w.processor, argmin, "{at} task {}", s.task);
+                assert_eq!(w.available, inst.initial[argmin.index()], "{at}");
+                assert_eq!(w.demand, inst.comm.demand(t, argmin), "{at}");
+                assert_eq!(w.completion, w.available + w.demand, "{at}");
+                assert!(!t.meets_deadline(w.completion), "{at}: witness meets");
+                witnesses += 1;
+                if *kind == "sharded" {
+                    sharded_witnesses += 1;
+                }
+            }
+
+            // 2. Runner-ups, checked against a replay of the delivered path.
+            assert_eq!(prov.decisions.len(), on.assignments.len(), "{at}");
+            let mut state = PathState::with_resources(
+                inst.initial.clone(),
+                inst.tasks.len(),
+                inst.resources.clone(),
+            );
+            for (d, a) in prov.decisions.iter().zip(&on.assignments) {
+                assert_eq!((d.task, d.processor), (a.task, a.processor), "{at}");
+                let (tasks, comm) = (&inst.tasks, &inst.comm);
+                assert_eq!(
+                    d.completion,
+                    state.completion_if(tasks, comm, d.task, d.processor),
+                    "{at}"
+                );
+                assert_eq!(d.cost, state.makespan().max(d.completion), "{at}");
+                if let Some(r) = d.runner_up {
+                    assert_ne!(r.processor, d.processor, "{at}");
+                    assert_eq!(
+                        r.completion,
+                        state.completion_if(tasks, comm, d.task, r.processor),
+                        "{at}"
+                    );
+                    assert_eq!(r.cost, state.makespan().max(r.completion), "{at}");
+                    assert!(tasks[d.task].meets_deadline(r.completion), "{at}");
+                    runners_up += 1;
+                }
+                state.apply(tasks, comm, d.task, d.processor);
+            }
+            on_scratch.recycle(on.assignments);
+            off_scratch.recycle(off.assignments);
+        }
+    }
+
+    assert!(witnesses > 0, "no instance ever screened a task");
+    assert!(
+        sharded_witnesses > 0,
+        "no sharded instance ever screened a task"
+    );
+    assert!(shard_screens > 0, "the shard-first screen never engaged");
+    assert!(runners_up > 0, "no decision ever recorded a runner-up");
+}

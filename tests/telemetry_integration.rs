@@ -220,3 +220,99 @@ fn traced_runs_are_reproducible_event_for_event() {
         "phase boundaries must be monotone in simulation time"
     );
 }
+
+/// A byte counter shared between a [`JsonlTracer`]'s writer and the sink
+/// wrapping it.
+#[derive(Clone, Default)]
+struct ByteCounter(std::rc::Rc<std::cell::Cell<u64>>);
+
+impl std::io::Write for ByteCounter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.set(self.0.get() + buf.len() as u64);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// JSONL trace sizes of one run: all bytes, and the `TaskScreened` lines'
+/// bytes and count.
+#[derive(Debug, Default)]
+struct TraceSize {
+    bytes: u64,
+    screened_bytes: u64,
+    screened: u64,
+}
+
+/// A [`JsonlTracer`] into a [`ByteCounter`] that attributes each
+/// `TaskScreened` line's bytes.
+struct SizedJsonl {
+    jsonl: JsonlTracer<ByteCounter>,
+    counter: ByteCounter,
+    size: TraceSize,
+}
+
+impl rtsads_repro::telemetry::TraceSink for SizedJsonl {
+    fn emit(&mut self, now: rtsads_repro::des::Time, event: TraceEvent) {
+        let screened = matches!(event, TraceEvent::TaskScreened { .. });
+        let before = self.counter.0.get();
+        self.jsonl.emit(now, event);
+        if screened {
+            self.size.screened += 1;
+            self.size.screened_bytes += self.counter.0.get() - before;
+        }
+    }
+}
+
+/// Runs seed 1998 with provenance on and returns (tasks, trace size).
+fn traced_size(workers: usize, comm: CommModel) -> (usize, TraceSize) {
+    let tasks = Scenario::paper_defaults()
+        .workers(workers)
+        .build(SEED)
+        .tasks;
+    let n = tasks.len();
+    let counter = ByteCounter::default();
+    let mut sink = SizedJsonl {
+        jsonl: JsonlTracer::new(counter.clone()),
+        counter: counter.clone(),
+        size: TraceSize::default(),
+    };
+    let config = DriverConfig::new(workers, Algorithm::rt_sads())
+        .comm(comm)
+        .host(HostParams::new(Duration::from_micros(1)))
+        .seed(SEED);
+    let report = Driver::new(config).run_traced(tasks, &mut sink);
+    assert_eq!(report.total_tasks, n);
+    sink.jsonl.finish().unwrap();
+    sink.size.bytes = counter.0.get();
+    (n, sink.size)
+}
+
+/// The trace grows with decisions, not decisions × processors: each
+/// screened task and each placement records one witness, so bytes per task
+/// stay under a fixed bound and a `TaskScreened` line is as long at
+/// P=1024 (16 nodes × 4 racks) as at P=64 (flat), up to the digits of
+/// larger processor indices and times.
+#[test]
+fn trace_bytes_grow_with_decisions_not_processors() {
+    const BYTES_PER_TASK_BOUND: u64 = 1024;
+    let flat = traced_size(64, CommModel::constant(Duration::from_millis(2)));
+    let topo = rtsads_repro::task::TopologySpec::new(1024, 16, 4, 0, 2_000, 4_000);
+    let sharded = traced_size(1024, CommModel::hierarchical(topo));
+
+    for (p, (n, size)) in [(64, &flat), (1024, &sharded)] {
+        assert!(size.screened > 0, "P={p}: no task was screened: {size:?}");
+        let per_task = size.bytes / *n as u64;
+        assert!(
+            per_task < BYTES_PER_TASK_BOUND,
+            "P={p}: {per_task} trace bytes per task, bound {BYTES_PER_TASK_BOUND}: {size:?}"
+        );
+    }
+    let mean = |s: &TraceSize| s.screened_bytes as f64 / s.screened as f64;
+    let (at_64, at_1024) = (mean(&flat.1), mean(&sharded.1));
+    assert!(
+        at_1024 <= 1.5 * at_64,
+        "mean TaskScreened line: {at_1024:.0} B at P=1024 vs {at_64:.0} B at P=64"
+    );
+}
