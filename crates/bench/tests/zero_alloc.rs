@@ -130,7 +130,6 @@ fn steady_state_phases_do_not_allocate() {
                 Pruning::default(),
                 &ResourceEats::new(),
                 false,
-                1,
                 &mut meter,
                 &mut rng,
                 &mut scratch,
@@ -168,7 +167,6 @@ fn steady_state_phases_do_not_allocate() {
                 Pruning::default(),
                 &ResourceEats::new(),
                 false,
-                1,
                 &mut meter,
                 &mut rng,
                 &mut scratch,
@@ -179,10 +177,9 @@ fn steady_state_phases_do_not_allocate() {
     }
 
     // The stage profiler must not break the zero-allocation claim: with
-    // profiling enabled, the serial hot path adds only monotonic clock
-    // reads folded into a fixed-size array (walk records exist solely on
-    // the split path), so a profiled steady-state phase still allocates
-    // nothing.
+    // profiling enabled, the hot path adds only monotonic clock reads
+    // folded into a fixed-size array, so a profiled steady-state phase
+    // still allocates nothing.
     {
         let tasks = synthetic_batch(150, workers);
         let algorithm = Algorithm::rt_sads();
@@ -203,7 +200,6 @@ fn steady_state_phases_do_not_allocate() {
                 Pruning::default(),
                 &ResourceEats::new(),
                 false,
-                1,
                 &mut meter,
                 &mut rng,
                 &mut scratch,

@@ -10,11 +10,11 @@
 //! quantum is exhausted — in the latter two cases the best (deepest, then
 //! lowest-makespan) feasible partial schedule found so far is returned.
 
-use paragon_des::trace::{PhaseProfile, WalkProfile};
+use paragon_des::trace::PhaseProfile;
 use paragon_des::{Duration, Time};
 use rt_task::{CommModel, ProcessorId, ResourceEats, Task};
 
-use paragon_platform::{HostParams, SchedulingMeter};
+use paragon_platform::SchedulingMeter;
 use rt_telemetry::{Stage, StageProfiler};
 use serde::{Deserialize, Serialize};
 
@@ -363,9 +363,9 @@ impl SearchScratch {
         self.prof.enabled()
     }
 
-    /// Drains the stage times and subtree-walk telemetry accumulated by the
-    /// last phase into a wire-format [`PhaseProfile`], resetting the
-    /// accumulators. Returns an all-zero record when profiling is off.
+    /// Drains the stage times accumulated by the last phase into a
+    /// wire-format [`PhaseProfile`], resetting the accumulators. Returns an
+    /// all-zero record when profiling is off.
     pub fn take_profile(&mut self) -> PhaseProfile {
         self.prof.take()
     }
@@ -539,20 +539,13 @@ fn search_core(
         state.configure_shards(shard_ends);
     }
 
-    // Best feasible vertex so far: the root (empty schedule, makespan =
-    // root_makespan) is the fallback.
-    let mut best: Best = (0, root_makespan, None);
-    let ctx = Ctx {
+    let mut walk = Walk {
         params,
         viable,
         level_task,
         n_viable,
         use_replay,
         shards,
-        vertex_cap: params.vertex_cap,
-        backtrack_limit: params.pruning.backtrack_limit,
-    };
-    let mut work = Work {
         arena,
         node_costs,
         cl,
@@ -565,44 +558,36 @@ fn search_core(
         shard_rank,
         state,
         prof,
+        stats,
+        // Best feasible vertex so far: the root (empty schedule, makespan =
+        // root_makespan) is the fallback.
+        best: (0, root_makespan, None),
     };
-    let termination;
-
-    // Expand the root, then walk the candidate list with one incrementally
-    // maintained state.
-    if let Some((leaf_id, leaf_makespan)) =
-        ctx.expand(&mut work, None, meter, &mut stats, &mut best)
-    {
-        best = (n_viable, leaf_makespan, Some(leaf_id));
-        termination = Termination::Leaf;
-    } else {
-        termination = ctx
-            .dfs_loop(&mut work, meter, &mut stats, &mut best, None)
-            .termination;
-    }
+    let termination = walk.dfs_loop(meter);
 
     // Deliver the best vertex's schedule. Untracked: the extraction switch
     // is not part of the search, so it must not skew the per-pop counters.
     // The assignments are copied into the pooled `out` buffer (the state
     // itself stays in the scratch for the next phase); callers return the
     // vector via [`SearchScratch::recycle`] to close the reuse loop.
+    let best = walk.best;
     let assignments = match best.2 {
         Some(id) => {
-            ctx.switch_to(&mut work, &mut stats, id, false);
-            out.extend_from_slice(work.state.assignments());
+            walk.switch_to(id, false);
+            out.extend_from_slice(walk.state.assignments());
             std::mem::take(out)
         }
         None => Vec::new(),
     };
     let provenance = params
         .provenance
-        .then(|| phase_provenance(work.arena, work.node_costs, best.2, screened_evidence));
+        .then(|| phase_provenance(walk.arena, walk.node_costs, best.2, screened_evidence));
     SearchOutcome {
         assignments,
         termination,
         n_viable,
         makespan: best.1,
-        stats,
+        stats: walk.stats,
         provenance,
     }
 }
@@ -611,33 +596,19 @@ fn search_core(
 /// means "deliver nothing" (the empty root schedule).
 type Best = (usize, Time, Option<usize>);
 
-/// The read-only context of one candidate-list walk: the caller's
-/// parameters plus the phase-level screen verdicts and level order
-/// (computed once per phase) and the budget this particular walk runs
-/// under. The serial engine uses the caller's budget verbatim; the
-/// parallel engine hands each subtree a slice of it.
-struct Ctx<'a, 'b> {
-    params: &'b SearchParams<'a>,
-    viable: &'b [bool],
-    level_task: &'b [usize],
+/// One phase's candidate-list walk: the caller's parameters, the
+/// phase-level screen verdicts and level order (computed once per phase),
+/// disjoint borrows of the [`SearchScratch`] buffers and incremental state,
+/// and the running counters and best vertex.
+struct Walk<'a, 's> {
+    params: &'s SearchParams<'a>,
+    viable: &'s [bool],
+    level_task: &'s [usize],
     n_viable: usize,
     use_replay: bool,
     /// `Some` when the shard-first candidate generator is active (multi-node
     /// hierarchical topology, assignment-oriented layout).
     shards: Option<&'a rt_task::TopologySpec>,
-    /// Generated-vertex budget of this walk (the phase cap, or one
-    /// subtree's slice of it).
-    vertex_cap: Option<u64>,
-    /// Backtrack budget of this walk (the phase limit, or one subtree's
-    /// slice of it).
-    backtrack_limit: Option<u64>,
-}
-
-/// The mutable working set of one walk — disjoint borrows of one
-/// [`SearchScratch`]'s buffers plus its incremental state, bundled so the
-/// expansion/switch/loop steps can be methods shared between the serial
-/// engine and the per-subtree walks of the parallel engine.
-struct Work<'s> {
     arena: &'s mut Vec<Node>,
     node_costs: &'s mut Vec<(Time, Time)>,
     cl: &'s mut Vec<usize>,
@@ -650,45 +621,8 @@ struct Work<'s> {
     shard_rank: &'s mut Vec<(Time, usize)>,
     state: &'s mut PathState,
     prof: &'s mut StageProfiler,
-}
-
-impl<'s> Work<'s> {
-    /// Borrows every buffer of `scratch` (plus its state, which the caller
-    /// must have initialized) as one working set.
-    fn over(scratch: &'s mut SearchScratch) -> Self {
-        let SearchScratch {
-            arena,
-            node_costs,
-            cl,
-            path,
-            chain,
-            children,
-            ckeys,
-            raw,
-            comp,
-            level_task: _,
-            viable: _,
-            shard_ends: _,
-            shard_rank,
-            state,
-            out: _,
-            prof,
-        } = scratch;
-        Work {
-            arena,
-            node_costs,
-            cl,
-            path,
-            chain,
-            children,
-            ckeys,
-            raw,
-            comp,
-            shard_rank,
-            state: state.as_mut().expect("scratch state initialized"),
-            prof,
-        }
-    }
+    stats: SearchStats,
+    best: Best,
 }
 
 /// Whether this phase runs the shard-first candidate generator: only under
@@ -726,26 +660,17 @@ fn pack_candidate(completion: Time, processor: usize, task: usize) -> u128 {
     ((completion.as_micros() as u128) << 64) | ((processor as u128) << 32) | task as u128
 }
 
-/// How one candidate-list walk ended: the termination reason plus the exit
-/// telemetry the parallel merge needs (`end_depth` = length of the current
-/// path at exit, `pops` = vertices popped from `CL`).
-struct LoopOut {
-    termination: Termination,
-    end_depth: usize,
-    pops: u64,
-}
-
-impl Ctx<'_, '_> {
+impl Walk<'_, '_> {
     /// Reconstructs the PathState of a vertex by replaying root->vertex —
     /// the O(depth) oracle path, taken only when `use_replay` is set.
     /// Allocates freely: the oracle is never on the production hot path.
-    fn replay(&self, arena: &[Node], id: Option<usize>) -> PathState {
+    fn replay(&self, id: usize) -> PathState {
         let params = self.params;
         let mut chain = Vec::new();
-        let mut cursor = id;
+        let mut cursor = Some(id);
         while let Some(i) = cursor {
             chain.push(i);
-            cursor = arena[i].parent;
+            cursor = self.arena[i].parent;
         }
         let mut state = PathState::with_resources(
             params.initial_finish.to_vec(),
@@ -753,96 +678,89 @@ impl Ctx<'_, '_> {
             params.resources.clone(),
         );
         for &i in chain.iter().rev() {
-            let node = &arena[i];
+            let node = &self.arena[i];
             state.apply(params.tasks, params.comm, node.task, node.processor);
         }
         state
     }
 
     /// Moves the incremental state (whose current vertex path is
-    /// `work.path`, with `path[d-1]` the arena id at depth d) to vertex
+    /// `self.path`, with `path[d-1]` the arena id at depth d) to vertex
     /// `cv`: walk cv's ancestors until one lies on the current path at its
     /// own depth, undo down to that common ancestor, then apply the
     /// collected chain. Both engines run the same bookkeeping (so stats are
     /// bit-identical); only the state materialization differs.
-    fn switch_to(&self, work: &mut Work<'_>, stats: &mut SearchStats, cv: usize, track: bool) {
+    fn switch_to(&mut self, cv: usize, track: bool) {
         // Profiling: the ancestor walk and the undo pops share one Undo
         // span; the apply chain gets its own. Spans bracket whole loops —
         // never individual apply/undo calls — per the stage-granularity
         // rule (DESIGN.md §8).
-        let t_undo = work.prof.start();
-        work.chain.clear();
+        let t_undo = self.prof.start();
+        self.chain.clear();
         let mut cursor = Some(cv);
         let common_depth = loop {
             let Some(i) = cursor else { break 0 };
-            let node = &work.arena[i];
-            if work.path.get(node.depth - 1) == Some(&i) {
+            let node = &self.arena[i];
+            if self.path.get(node.depth - 1) == Some(&i) {
                 break node.depth;
             }
-            work.chain.push(i);
+            self.chain.push(i);
             cursor = node.parent;
         };
         if track {
-            stats.undos += (work.path.len() - common_depth) as u64;
-            stats.replay_avoided += common_depth as u64;
+            self.stats.undos += (self.path.len() - common_depth) as u64;
+            self.stats.replay_avoided += common_depth as u64;
         }
         if self.use_replay {
-            work.prof.stop(Stage::Undo, t_undo);
-            let t_apply = work.prof.start();
-            work.path.truncate(common_depth);
-            work.path.extend(work.chain.iter().rev());
-            *work.state = self.replay(work.arena, Some(cv));
-            work.prof.stop(Stage::Apply, t_apply);
+            self.prof.stop(Stage::Undo, t_undo);
+            let t_apply = self.prof.start();
+            self.path.truncate(common_depth);
+            self.path.extend(self.chain.iter().rev());
+            *self.state = self.replay(cv);
+            self.prof.stop(Stage::Apply, t_apply);
         } else {
-            while work.path.len() > common_depth {
-                work.state.undo();
-                work.path.pop();
+            while self.path.len() > common_depth {
+                self.state.undo();
+                self.path.pop();
             }
-            work.prof.stop(Stage::Undo, t_undo);
-            let t_apply = work.prof.start();
-            for &i in work.chain.iter().rev() {
-                let node = work.arena[i];
-                work.state.apply(
+            self.prof.stop(Stage::Undo, t_undo);
+            let t_apply = self.prof.start();
+            for &i in self.chain.iter().rev() {
+                let node = self.arena[i];
+                self.state.apply(
                     self.params.tasks,
                     self.params.comm,
                     node.task,
                     node.processor,
                 );
-                work.path.push(i);
+                self.path.push(i);
             }
-            work.prof.stop(Stage::Apply, t_apply);
+            self.prof.stop(Stage::Apply, t_apply);
         }
     }
 
     /// Expands `cv` (`None` = the root): generates, filters, orders and
     /// pushes its successors. Returns `Some((leaf id, leaf makespan))` if a
     /// schedule covering every viable task was generated.
-    fn expand(
-        &self,
-        work: &mut Work<'_>,
-        cv: Option<usize>,
-        meter: &mut SchedulingMeter,
-        stats: &mut SearchStats,
-        best: &mut Best,
-    ) -> Option<(usize, Time)> {
+    fn expand(&mut self, cv: Option<usize>, meter: &mut SchedulingMeter) -> Option<(usize, Time)> {
         let params = self.params;
         // Depth bound (Section 3 pruning): do not expand below the bound.
         if params
             .pruning
             .depth_bound
-            .is_some_and(|bound| work.state.depth() >= bound)
+            .is_some_and(|bound| self.state.depth() >= bound)
         {
-            stats.depth_prunes += 1;
+            self.stats.depth_prunes += 1;
             return None;
         }
-        stats.expansions += 1;
-        let max_skips = params.representation.max_skips(work.state);
+        self.stats.expansions += 1;
+        let max_skips = params.representation.max_skips(self.state);
         // The cost function ce compares each candidate's completion against
         // the partial schedule's makespan, which the state maintains
         // incrementally — an O(1) read per expansion.
-        let base_makespan = work.state.makespan();
-        work.children.clear();
-        work.ckeys.clear();
+        let base_makespan = self.state.makespan();
+        self.children.clear();
+        self.ckeys.clear();
         // The two default-ish child orders reduce to the integer order of a
         // packed `completion(64) | processor(32) | task(32)` key (see the
         // select stage below), so their candidates skip the `Candidate`
@@ -855,7 +773,7 @@ impl Ctx<'_, '_> {
         // Budget hoists: both are constant for the whole expansion, and the
         // cap compare degenerates to an always-false branch when uncapped
         // (`vertices_generated` cannot reach `u64::MAX`).
-        let cap = self.vertex_cap.unwrap_or(u64::MAX);
+        let cap = params.vertex_cap.unwrap_or(u64::MAX);
         // Profiling: the cost span may be cut short by a `break
         // 'skip_rounds` inside the accounting loop; the pending slot carries
         // the open span across the jump so the stop after the loop closes
@@ -888,7 +806,7 @@ impl Ctx<'_, '_> {
                     let mut found = None;
                     while let Some(&t) = self.level_task.get(cursor) {
                         cursor += 1;
-                        if !work.state.is_assigned(t) {
+                        if !self.state.is_assigned(t) {
                             found = Some(t);
                             break;
                         }
@@ -906,46 +824,46 @@ impl Ctx<'_, '_> {
                     // shards. Like the batch screen, the per-shard bounds
                     // cost no quantum — the saving the sharded bench point
                     // measures.
-                    let t_shard = work.prof.start();
-                    self.rank_shards(topo, work, task, stats);
-                    work.prof.stop(Stage::Shard, t_shard);
-                    if work.shard_rank.is_empty() {
+                    let t_shard = self.prof.start();
+                    self.rank_shards(topo, task);
+                    self.prof.stop(Stage::Shard, t_shard);
+                    if self.shard_rank.is_empty() {
                         // The task exists but no shard can meet its
                         // deadline: move on to the next task, as the flat
                         // path would after evaluating (and charging) every
                         // processor.
-                        stats.level_skips += 1;
+                        self.stats.level_skips += 1;
                         continue;
                     }
                     // Sync only the winning shards' column segments — the
                     // losing shards stay stale and unpaid-for.
-                    let t_fill = work.prof.start();
-                    for i in 0..work.shard_rank.len() {
-                        let s = work.shard_rank[i].1;
-                        work.state
+                    let t_fill = self.prof.start();
+                    for i in 0..self.shard_rank.len() {
+                        let s = self.shard_rank[i].1;
+                        self.state
                             .ensure_candidate_segment(params.tasks, params.comm, task, s);
                     }
-                    work.prof.stop(Stage::Fill, t_fill);
-                    t_cost = work.prof.start();
-                    let col = work.state.comp_column(task);
-                    for &(_, s) in work.shard_rank.iter() {
+                    self.prof.stop(Stage::Fill, t_fill);
+                    t_cost = self.prof.start();
+                    let col = self.state.comp_column(task);
+                    for &(_, s) in self.shard_rank.iter() {
                         let (lo, hi) = topo.node_range(s);
                         for (off, &completion) in col[lo..hi].iter().enumerate() {
                             let p = lo + off;
-                            if stats.vertices_generated >= cap {
+                            if self.stats.vertices_generated >= cap {
                                 break 'skip_rounds; // cap reached mid-expansion
                             }
                             let charged = meter.charge_vertex();
-                            stats.vertices_generated += 1;
+                            self.stats.vertices_generated += 1;
                             if !charged {
                                 break 'skip_rounds; // quantum ran out mid-expansion
                             }
                             if completion <= deadline {
-                                stats.feasible_children += 1;
+                                self.stats.feasible_children += 1;
                                 if packable {
-                                    work.ckeys.push(pack_candidate(completion, p, task));
+                                    self.ckeys.push(pack_candidate(completion, p, task));
                                 } else {
-                                    work.children.push(Candidate {
+                                    self.children.push(Candidate {
                                         task,
                                         processor: p,
                                         completion,
@@ -954,31 +872,31 @@ impl Ctx<'_, '_> {
                                     });
                                 }
                             } else {
-                                stats.infeasible_children += 1;
+                                self.stats.infeasible_children += 1;
                             }
                         }
                     }
-                    work.prof.stop(Stage::Cost, t_cost.take());
+                    self.prof.stop(Stage::Cost, t_cost.take());
                 } else {
-                    let t_fill = work.prof.start();
-                    let col = work.state.candidate_column(params.tasks, params.comm, task);
-                    work.prof.stop(Stage::Fill, t_fill);
-                    t_cost = work.prof.start();
+                    let t_fill = self.prof.start();
+                    let col = self.state.candidate_column(params.tasks, params.comm, task);
+                    self.prof.stop(Stage::Fill, t_fill);
+                    t_cost = self.prof.start();
                     for (p, &completion) in col.iter().enumerate() {
-                        if stats.vertices_generated >= cap {
+                        if self.stats.vertices_generated >= cap {
                             break 'skip_rounds; // cap reached mid-expansion
                         }
                         let charged = meter.charge_vertex();
-                        stats.vertices_generated += 1;
+                        self.stats.vertices_generated += 1;
                         if !charged {
                             break 'skip_rounds; // quantum ran out mid-expansion
                         }
                         if completion <= deadline {
-                            stats.feasible_children += 1;
+                            self.stats.feasible_children += 1;
                             if packable {
-                                work.ckeys.push(pack_candidate(completion, p, task));
+                                self.ckeys.push(pack_candidate(completion, p, task));
                             } else {
-                                work.children.push(Candidate {
+                                self.children.push(Candidate {
                                     task,
                                     processor: p,
                                     completion,
@@ -987,15 +905,15 @@ impl Ctx<'_, '_> {
                                 });
                             }
                         } else {
-                            stats.infeasible_children += 1;
+                            self.stats.infeasible_children += 1;
                         }
                     }
-                    work.prof.stop(Stage::Cost, t_cost.take());
+                    self.prof.stop(Stage::Cost, t_cost.take());
                 }
-                if !work.children.is_empty() || !work.ckeys.is_empty() {
+                if !self.children.is_empty() || !self.ckeys.is_empty() {
                     break;
                 }
-                stats.level_skips += 1;
+                self.stats.level_skips += 1;
             }
         } else {
             // Sequence-oriented levels fix a processor and branch over
@@ -1004,39 +922,39 @@ impl Ctx<'_, '_> {
             // completions_into evaluation.
             'skip_rounds: for skip in 0..=max_skips {
                 params.representation.raw_candidates_into(
-                    work.state,
+                    self.state,
                     self.level_task,
                     skip,
-                    work.raw,
+                    self.raw,
                 );
                 // Screened (phase-infeasible) tasks are invisible to the
                 // search and cost no quantum. An empty round means no viable
                 // task is left at all — skipping further cannot help.
-                work.raw.retain(|&(t, _)| self.viable[t]);
-                if work.raw.is_empty() {
+                self.raw.retain(|&(t, _)| self.viable[t]);
+                if self.raw.is_empty() {
                     break;
                 }
-                let t_fill = work.prof.start();
-                work.state
-                    .completions_into(params.tasks, params.comm, work.raw, work.comp);
-                work.prof.stop(Stage::Fill, t_fill);
-                t_cost = work.prof.start();
-                for (i, &(task, p)) in work.raw.iter().enumerate() {
-                    if stats.vertices_generated >= cap {
+                let t_fill = self.prof.start();
+                self.state
+                    .completions_into(params.tasks, params.comm, self.raw, self.comp);
+                self.prof.stop(Stage::Fill, t_fill);
+                t_cost = self.prof.start();
+                for (i, &(task, p)) in self.raw.iter().enumerate() {
+                    if self.stats.vertices_generated >= cap {
                         break 'skip_rounds; // cap reached mid-expansion
                     }
                     let charged = meter.charge_vertex();
-                    stats.vertices_generated += 1;
+                    self.stats.vertices_generated += 1;
                     if !charged {
                         break 'skip_rounds; // quantum ran out mid-expansion
                     }
-                    let completion = work.comp[i];
+                    let completion = self.comp[i];
                     if params.tasks[task].meets_deadline(completion) {
-                        stats.feasible_children += 1;
+                        self.stats.feasible_children += 1;
                         if packable {
-                            work.ckeys.push(pack_candidate(completion, p.index(), task));
+                            self.ckeys.push(pack_candidate(completion, p.index(), task));
                         } else {
-                            work.children.push(Candidate {
+                            self.children.push(Candidate {
                                 task,
                                 processor: p.index(),
                                 completion,
@@ -1045,26 +963,26 @@ impl Ctx<'_, '_> {
                             });
                         }
                     } else {
-                        stats.infeasible_children += 1;
+                        self.stats.infeasible_children += 1;
                     }
                 }
-                work.prof.stop(Stage::Cost, t_cost.take());
-                if !work.children.is_empty() || !work.ckeys.is_empty() {
+                self.prof.stop(Stage::Cost, t_cost.take());
+                if !self.children.is_empty() || !self.ckeys.is_empty() {
                     break;
                 }
-                stats.level_skips += 1;
+                self.stats.level_skips += 1;
             }
         }
         // Closes the span a mid-loop budget break left open; ordering and
         // pushing the children is its own `select` stage from here on.
-        work.prof.stop(Stage::Cost, t_cost);
-        let t_select = work.prof.start();
-        let depth = work.state.depth() + 1;
+        self.prof.stop(Stage::Cost, t_cost);
+        let t_select = self.prof.start();
+        let depth = self.state.depth() + 1;
         // Push lowest-priority first so the highest-priority child is popped
         // next (CL front). Bulk-extend the arena and CL rather than pushing
         // per child: the capacity checks amortise and the Node construction
         // stays in one tight loop.
-        let base_id = work.arena.len();
+        let base_id = self.arena.len();
         let mut leaf = None;
         if packable {
             // The packed key's integer order is `(completion, processor,
@@ -1078,30 +996,30 @@ impl Ctx<'_, '_> {
             // the same `(processor, task)` tiebreak. A raw `u128` sort
             // replaces a 40-byte-element comparator sort — on wide sharded
             // expansions this is most of the select stage.
-            work.ckeys.sort_unstable();
-            work.arena.extend(work.ckeys.iter().rev().map(|&k| Node {
+            self.ckeys.sort_unstable();
+            self.arena.extend(self.ckeys.iter().rev().map(|&k| Node {
                 parent: cv,
                 depth,
                 task: k as u32 as usize,
                 processor: ProcessorId::new((k >> 32) as u32 as usize),
             }));
             if params.provenance {
-                work.node_costs.extend(work.ckeys.iter().rev().map(|&k| {
+                self.node_costs.extend(self.ckeys.iter().rev().map(|&k| {
                     let completion = Time::from_micros((k >> 64) as u64);
                     (completion, base_makespan.max(completion))
                 }));
             }
-            work.cl.extend(base_id..base_id + work.ckeys.len());
-            if !work.ckeys.is_empty() {
-                stats.deepest = stats.deepest.max(depth);
+            self.cl.extend(base_id..base_id + self.ckeys.len());
+            if !self.ckeys.is_empty() {
+                self.stats.deepest = self.stats.deepest.max(depth);
             }
-            for (i, &k) in work.ckeys.iter().rev().enumerate() {
+            for (i, &k) in self.ckeys.iter().rev().enumerate() {
                 let id = base_id + i;
                 let makespan = base_makespan.max(Time::from_micros((k >> 64) as u64));
                 // Every generated feasible vertex is a candidate "best".
                 let key = (depth, makespan);
-                if key.0 > best.0 || (key.0 == best.0 && key.1 < best.1) {
-                    *best = (depth, makespan, Some(id));
+                if key.0 > self.best.0 || (key.0 == self.best.0 && key.1 < self.best.1) {
+                    self.best = (depth, makespan, Some(id));
                 }
                 if depth == self.n_viable {
                     // Prefer the highest-priority leaf of this expansion:
@@ -1111,32 +1029,32 @@ impl Ctx<'_, '_> {
                 }
             }
         } else {
-            params.child_order.sort(work.children);
-            work.arena
-                .extend(work.children.iter().rev().map(|child| Node {
+            params.child_order.sort(self.children);
+            self.arena
+                .extend(self.children.iter().rev().map(|child| Node {
                     parent: cv,
                     depth,
                     task: child.task,
                     processor: ProcessorId::new(child.processor),
                 }));
             if params.provenance {
-                work.node_costs.extend(
-                    work.children
+                self.node_costs.extend(
+                    self.children
                         .iter()
                         .rev()
                         .map(|c| (c.completion, c.makespan)),
                 );
             }
-            work.cl.extend(base_id..base_id + work.children.len());
-            if !work.children.is_empty() {
-                stats.deepest = stats.deepest.max(depth);
+            self.cl.extend(base_id..base_id + self.children.len());
+            if !self.children.is_empty() {
+                self.stats.deepest = self.stats.deepest.max(depth);
             }
-            for (i, child) in work.children.iter().rev().enumerate() {
+            for (i, child) in self.children.iter().rev().enumerate() {
                 let id = base_id + i;
                 // Every generated feasible vertex is a candidate "best".
                 let key = (depth, child.makespan);
-                if key.0 > best.0 || (key.0 == best.0 && key.1 < best.1) {
-                    *best = (depth, child.makespan, Some(id));
+                if key.0 > self.best.0 || (key.0 == self.best.0 && key.1 < self.best.1) {
+                    self.best = (depth, child.makespan, Some(id));
                 }
                 if depth == self.n_viable {
                     // Prefer the highest-priority leaf of this expansion:
@@ -1146,14 +1064,14 @@ impl Ctx<'_, '_> {
                 }
             }
         }
-        work.prof.stop(Stage::Select, t_select);
+        self.prof.stop(Stage::Select, t_select);
         leaf
     }
 
     /// The shard-first screen: tests every shard of the topology against
     /// the level's task with an aggregate feasibility bound and leaves the
     /// best-ranked feasible shards (up to the topology's fanout) in
-    /// `work.shard_rank`. The expansion then enumerates processors only
+    /// `self.shard_rank`. The expansion then enumerates processors only
     /// inside those winners, reading completions from the task's candidate
     /// column.
     ///
@@ -1164,79 +1082,61 @@ impl Ctx<'_, '_> {
     /// has no feasible member. Only the fanout cut is heuristic. Shards are
     /// ranked by `(bound, shard index)` — a total order, so the generated
     /// candidate set is deterministic.
-    fn rank_shards(
-        &self,
-        topo: &rt_task::TopologySpec,
-        work: &mut Work<'_>,
-        task: usize,
-        stats: &mut SearchStats,
-    ) {
+    fn rank_shards(&mut self, topo: &rt_task::TopologySpec, task: usize) {
         let t = &self.params.tasks[task];
-        stats.shard_screens += 1;
-        work.shard_rank.clear();
-        let earliest = work.state.earliest_resource_start(t);
+        self.stats.shard_screens += 1;
+        self.shard_rank.clear();
+        let earliest = self.state.earliest_resource_start(t);
         let mut pruned = 0u64;
         for s in 0..topo.nodes() {
-            let start = work.state.shard_min(s).max(earliest);
+            let start = self.state.shard_min(s).max(earliest);
             let bound = start + t.processing_time() + topo.min_node_cost(t.affinity(), s);
             if t.meets_deadline(bound) {
-                work.shard_rank.push((bound, s));
+                self.shard_rank.push((bound, s));
             } else {
                 pruned += 1;
             }
         }
-        work.shard_rank.sort_unstable();
-        let fanout = topo.fanout().min(work.shard_rank.len());
-        pruned += (work.shard_rank.len() - fanout) as u64;
-        stats.shards_pruned += pruned;
-        work.shard_rank.truncate(fanout);
+        self.shard_rank.sort_unstable();
+        let fanout = topo.fanout().min(self.shard_rank.len());
+        pruned += (self.shard_rank.len() - fanout) as u64;
+        self.stats.shards_pruned += pruned;
+        self.shard_rank.truncate(fanout);
     }
 
-    /// Walks the candidate list until a leaf, a dead-end, a budget break or
-    /// a pruning bound: the serial engine's main loop, also run per subtree
-    /// by the parallel engine (against that subtree's own budget slices).
-    fn dfs_loop(
-        &self,
-        work: &mut Work<'_>,
-        meter: &mut SchedulingMeter,
-        stats: &mut SearchStats,
-        best: &mut Best,
-        mut last_expanded: Option<usize>,
-    ) -> LoopOut {
-        let mut pops = 0u64;
-        let termination = loop {
+    /// Expands the root, then walks the candidate list until a leaf, a
+    /// dead-end, a budget break or a pruning bound.
+    fn dfs_loop(&mut self, meter: &mut SchedulingMeter) -> Termination {
+        let mut cv = None;
+        loop {
+            if let Some((leaf_id, leaf_makespan)) = self.expand(cv, meter) {
+                self.best = (self.n_viable, leaf_makespan, Some(leaf_id));
+                return Termination::Leaf;
+            }
             if meter.exhausted()
                 || self
+                    .params
                     .vertex_cap
-                    .is_some_and(|cap| stats.vertices_generated >= cap)
+                    .is_some_and(|cap| self.stats.vertices_generated >= cap)
             {
-                break Termination::QuantumExhausted;
+                return Termination::QuantumExhausted;
             }
-            let Some(cv) = work.cl.pop() else {
-                break Termination::DeadEnd;
+            let Some(next) = self.cl.pop() else {
+                return Termination::DeadEnd;
             };
-            pops += 1;
-            if work.arena[cv].parent != last_expanded {
-                stats.backtracks += 1;
+            if self.arena[next].parent != cv {
+                self.stats.backtracks += 1;
                 if self
+                    .params
+                    .pruning
                     .backtrack_limit
-                    .is_some_and(|limit| stats.backtracks > limit)
+                    .is_some_and(|limit| self.stats.backtracks > limit)
                 {
-                    break Termination::Pruned;
+                    return Termination::Pruned;
                 }
             }
-            self.switch_to(work, stats, cv, true);
-            last_expanded = Some(cv);
-            if let Some((leaf_id, leaf_makespan)) = self.expand(work, Some(cv), meter, stats, best)
-            {
-                *best = (self.n_viable, leaf_makespan, Some(leaf_id));
-                break Termination::Leaf;
-            }
-        };
-        LoopOut {
-            termination,
-            end_depth: work.path.len(),
-            pops,
+            self.switch_to(next, true);
+            cv = Some(next);
         }
     }
 }
@@ -1341,709 +1241,6 @@ fn phase_provenance(
         screened,
         decisions,
     }
-}
-
-/// Wire label of a walk termination for [`WalkProfile::termination`] (the
-/// strings the Perfetto exporter and `rtsads_sim profile` group by).
-fn termination_label(t: Termination) -> &'static str {
-    match t {
-        Termination::Leaf => "leaf",
-        Termination::DeadEnd => "dead_end",
-        Termination::QuantumExhausted => "budget",
-        Termination::Pruned => "pruned",
-    }
-}
-
-/// Adds one subtree walk's counters into the merged phase counters.
-/// Everything is additive except `deepest` (a max) — `screened_tasks` is
-/// additive too, but subtree walks never screen, so only the shared
-/// prologue contributes.
-fn merge_stats(acc: &mut SearchStats, sub: &SearchStats) {
-    acc.vertices_generated += sub.vertices_generated;
-    acc.expansions += sub.expansions;
-    acc.backtracks += sub.backtracks;
-    acc.infeasible_children += sub.infeasible_children;
-    acc.feasible_children += sub.feasible_children;
-    acc.deepest = acc.deepest.max(sub.deepest);
-    acc.level_skips += sub.level_skips;
-    acc.depth_prunes += sub.depth_prunes;
-    acc.screened_tasks += sub.screened_tasks;
-    acc.undos += sub.undos;
-    acc.replay_avoided += sub.replay_avoided;
-    acc.shard_screens += sub.shard_screens;
-    acc.shards_pruned += sub.shards_pruned;
-}
-
-/// Per-subtree scratch pool for the deterministic parallel engine: one
-/// [`SearchScratch`] per root subtree, grown on demand and reused across
-/// phases exactly like the serial scratch.
-#[derive(Debug, Default)]
-pub struct ParallelScratch {
-    subs: Vec<SearchScratch>,
-}
-
-impl ParallelScratch {
-    /// An empty pool; per-subtree scratches grow on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Telemetry of one subtree walk of a parallel phase (report only — the
-/// merged [`SearchOutcome`] is the authoritative result).
-#[derive(Debug, Clone)]
-pub struct SubReport {
-    /// How this subtree's walk ended.
-    pub termination: Termination,
-    /// The subtree's own counters. Its depth-1 root vertex was generated
-    /// and charged by the shared root expansion, so it is *not* counted
-    /// here.
-    pub stats: SearchStats,
-    /// Vertices popped from the subtree's candidate list.
-    pub pops: u64,
-    /// Length of the subtree's current path when the walk ended.
-    pub end_depth: usize,
-    /// Whether the merge committed this subtree. Subtrees after the first
-    /// leaf are discarded, exactly as the serial engine never reaches them.
-    pub committed: bool,
-    /// Vertices charged against the subtree's private meter slice.
-    pub vertices: u64,
-    /// Scheduling time consumed from the subtree's private meter slice.
-    pub consumed: Duration,
-}
-
-/// How a parallel phase executed: whether it split, how the subtree walks
-/// ended, and the shared-prologue counters the merge started from.
-#[derive(Debug, Clone, Default)]
-pub struct ParallelReport {
-    /// Whether the phase actually split (two or more subtrees and budget
-    /// left after the root expansion). When false the phase ran the serial
-    /// loop and `subs` is empty.
-    pub split: bool,
-    /// Number of root subtrees (feasible root children).
-    pub subtrees: usize,
-    /// Subtrees the merge committed (`<= subtrees`; the rest were discarded
-    /// because an earlier subtree reached a leaf).
-    pub committed: usize,
-    /// Counters after the shared root expansion, before any subtree ran —
-    /// the merge's starting point.
-    pub stage_stats: SearchStats,
-    /// Per-subtree telemetry, in root-priority order (index 0 = the
-    /// highest-priority root child, the branch the serial engine dives
-    /// first).
-    pub subs: Vec<SubReport>,
-}
-
-/// One root subtree handed to a worker: its root child (already in the
-/// stage arena) and the budget slices its walk runs under.
-#[derive(Debug, Clone, Copy)]
-struct SubSpec {
-    /// Arena id of the subtree's root child in the *stage* arena.
-    root_id: usize,
-    task: usize,
-    processor: ProcessorId,
-    completion: Time,
-    makespan: Time,
-    vertex_cap: Option<u64>,
-    backtrack_limit: Option<u64>,
-    quantum: Duration,
-}
-
-/// What one subtree walk produced ([`SubReport`] is the public
-/// projection).
-struct SubRun {
-    termination: Termination,
-    stats: SearchStats,
-    best: Best,
-    pops: u64,
-    end_depth: usize,
-    vertices: u64,
-    consumed: Duration,
-    exhausted: bool,
-}
-
-/// Runs one subtree walk on its own scratch and private meter slice: seeds
-/// the scratch with the subtree's root child (depth 1 — the vertex the
-/// shared root expansion already generated and charged), then runs the same
-/// candidate-list loop as the serial engine.
-fn run_sub(
-    ctx: &Ctx<'_, '_>,
-    spec: &SubSpec,
-    scratch: &mut SearchScratch,
-    host: HostParams,
-) -> SubRun {
-    let params = ctx.params;
-    let SearchScratch {
-        arena,
-        node_costs,
-        cl,
-        path,
-        chain,
-        children,
-        ckeys,
-        raw,
-        comp,
-        level_task: _,
-        viable: _,
-        shard_ends,
-        shard_rank,
-        state: state_slot,
-        out: _,
-        prof,
-    } = scratch;
-    arena.clear();
-    node_costs.clear();
-    cl.clear();
-    path.clear();
-    chain.clear();
-    children.clear();
-    ckeys.clear();
-    raw.clear();
-    comp.clear();
-    shard_ends.clear();
-    shard_rank.clear();
-    prof.reset();
-    match state_slot.as_mut() {
-        Some(s) => s.reset(params.initial_finish, params.tasks.len(), &params.resources),
-        None => {
-            *state_slot = Some(PathState::with_resources(
-                params.initial_finish.to_vec(),
-                params.tasks.len(),
-                params.resources.clone(),
-            ));
-        }
-    }
-    let state = state_slot.as_mut().expect("state initialized above");
-    if let Some(topo) = ctx.shards {
-        node_ends_into(topo, shard_ends);
-        state.configure_shards(shard_ends);
-    }
-    arena.push(Node {
-        parent: None,
-        depth: 1,
-        task: spec.task,
-        processor: spec.processor,
-    });
-    if params.provenance {
-        node_costs.push((spec.completion, spec.makespan));
-    }
-    cl.push(0);
-    let sub_ctx = Ctx {
-        params,
-        viable: ctx.viable,
-        level_task: ctx.level_task,
-        n_viable: ctx.n_viable,
-        use_replay: false,
-        shards: ctx.shards,
-        vertex_cap: spec.vertex_cap,
-        backtrack_limit: spec.backtrack_limit,
-    };
-    let mut meter = SchedulingMeter::new(host, spec.quantum);
-    let mut stats = SearchStats::default();
-    let mut best: Best = (1, spec.makespan, Some(0));
-    let mut work = Work {
-        arena,
-        node_costs,
-        cl,
-        path,
-        chain,
-        children,
-        ckeys,
-        raw,
-        comp,
-        shard_rank,
-        state,
-        prof,
-    };
-    let walk = sub_ctx.dfs_loop(&mut work, &mut meter, &mut stats, &mut best, None);
-    SubRun {
-        termination: walk.termination,
-        stats,
-        best,
-        pops: walk.pops,
-        end_depth: walk.end_depth,
-        vertices: meter.vertices(),
-        consumed: meter.consumed(),
-        // A slice meter that filled up exactly as the walk finished on its
-        // own (dead-end/leaf) is a slicing artifact, not phase exhaustion —
-        // the serial engine, holding the undivided quantum, would not be
-        // exhausted there. Only a walk the budget actually cut short
-        // carries the flag up (the merged meter still re-derives exact-fill
-        // exhaustion from its own totals in `SchedulingMeter::absorb`).
-        exhausted: meter.exhausted() && walk.termination == Termination::QuantumExhausted,
-    }
-}
-
-/// The deterministic parallel engine: [`search_schedule_with`] whose
-/// exploration below the root is split across `threads` worker threads.
-///
-/// The root is expanded once, on the caller's meter, identically to the
-/// serial engine; each feasible root child then seeds an independent
-/// subtree walk with its own scratch and a private meter carrying `1/k` of
-/// the remaining quantum, plus `1/k` slices of the vertex cap and backtrack
-/// limit. The split is by *subtree*, never by thread: `threads` only sets
-/// how many OS threads drain the `k` walks, so the outcome is bit-identical
-/// at any thread count (including 1). Whenever no subtree budget slice
-/// binds, the merged outcome is also bit-identical to the serial engine's
-/// (see DESIGN.md — the deterministic-reduction invariant).
-#[must_use]
-pub fn search_schedule_parallel(
-    params: &SearchParams<'_>,
-    threads: usize,
-    meter: &mut SchedulingMeter,
-    scratch: &mut SearchScratch,
-    par: &mut ParallelScratch,
-) -> SearchOutcome {
-    search_parallel_core(params, threads, meter, scratch, par).0
-}
-
-/// [`search_schedule_parallel`] returning the per-subtree execution report
-/// next to the merged outcome (differential tests and diagnostics).
-#[must_use]
-pub fn search_schedule_parallel_with_report(
-    params: &SearchParams<'_>,
-    threads: usize,
-    meter: &mut SchedulingMeter,
-    scratch: &mut SearchScratch,
-    par: &mut ParallelScratch,
-) -> (SearchOutcome, ParallelReport) {
-    search_parallel_core(params, threads, meter, scratch, par)
-}
-
-/// The parallel phase: the serial prologue and root expansion, a
-/// deterministic subtree split, and the stats/meter/best/provenance merge.
-fn search_parallel_core(
-    params: &SearchParams<'_>,
-    threads: usize,
-    meter: &mut SchedulingMeter,
-    scratch: &mut SearchScratch,
-    par: &mut ParallelScratch,
-) -> (SearchOutcome, ParallelReport) {
-    let SearchScratch {
-        arena,
-        node_costs,
-        cl,
-        path,
-        chain,
-        children,
-        ckeys,
-        raw,
-        comp,
-        level_task,
-        viable,
-        shard_ends,
-        shard_rank,
-        state: state_slot,
-        out,
-        prof,
-    } = scratch;
-    arena.clear();
-    node_costs.clear();
-    cl.clear();
-    path.clear();
-    chain.clear();
-    children.clear();
-    ckeys.clear();
-    raw.clear();
-    comp.clear();
-    level_task.clear();
-    viable.clear();
-    shard_ends.clear();
-    shard_rank.clear();
-    out.clear();
-    prof.reset();
-
-    let n = params.tasks.len();
-    let mut stats = SearchStats::default();
-    let root_makespan = params
-        .initial_finish
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(Time::ZERO);
-    let mut report = ParallelReport::default();
-
-    if n == 0 {
-        return (
-            SearchOutcome {
-                assignments: Vec::new(),
-                termination: Termination::Leaf,
-                n_viable: 0,
-                makespan: root_makespan,
-                stats,
-                provenance: params.provenance.then(PhaseProvenance::default),
-            },
-            report,
-        );
-    }
-
-    let t_screen = prof.start();
-    let screened_evidence = screen_batch(params, viable);
-    prof.stop(Stage::Screen, t_screen);
-    let viable: &[bool] = viable;
-    let n_viable = viable.iter().filter(|&&v| v).count();
-    stats.screened_tasks = (n - n_viable) as u64;
-    if n_viable == 0 {
-        return (
-            SearchOutcome {
-                assignments: Vec::new(),
-                termination: Termination::DeadEnd,
-                n_viable: 0,
-                makespan: root_makespan,
-                stats,
-                provenance: params.provenance.then(|| PhaseProvenance {
-                    screened: screened_evidence,
-                    decisions: Vec::new(),
-                }),
-            },
-            report,
-        );
-    }
-
-    if let Representation::AssignmentOriented { task_order } = params.representation {
-        task_order.order_into(params.tasks, params.now, level_task);
-        level_task.retain(|&t| viable[t]);
-    }
-    let level_task: &[usize] = level_task;
-
-    match state_slot.as_mut() {
-        Some(s) => s.reset(params.initial_finish, n, &params.resources),
-        None => {
-            *state_slot = Some(PathState::with_resources(
-                params.initial_finish.to_vec(),
-                n,
-                params.resources.clone(),
-            ));
-        }
-    }
-    let state = state_slot.as_mut().expect("state initialized above");
-
-    let shards = shard_gate(params);
-    if let Some(topo) = shards {
-        node_ends_into(topo, shard_ends);
-        state.configure_shards(shard_ends);
-    }
-
-    let mut best: Best = (0, root_makespan, None);
-    let ctx = Ctx {
-        params,
-        viable,
-        level_task,
-        n_viable,
-        use_replay: false,
-        shards,
-        vertex_cap: params.vertex_cap,
-        backtrack_limit: params.pruning.backtrack_limit,
-    };
-    let mut work = Work {
-        arena,
-        node_costs,
-        cl,
-        path,
-        chain,
-        children,
-        ckeys,
-        raw,
-        comp,
-        shard_rank,
-        state,
-        prof,
-    };
-
-    // Stage: the shared root expansion, charged against the caller's meter
-    // exactly like the serial engine.
-    let leaf = ctx.expand(&mut work, None, meter, &mut stats, &mut best);
-    let k = work.cl.len();
-    report.subtrees = k;
-    report.stage_stats = stats;
-
-    // Serial fallbacks: a root leaf, fewer than two subtrees, or a budget
-    // already dead at the root. Each continues on the serial engine's exact
-    // code path (and is therefore bit-identical to it).
-    let budget_dead = meter.exhausted()
-        || ctx
-            .vertex_cap
-            .is_some_and(|cap| stats.vertices_generated >= cap);
-    if leaf.is_some() || k < 2 || budget_dead {
-        let termination = if let Some((leaf_id, leaf_makespan)) = leaf {
-            best = (n_viable, leaf_makespan, Some(leaf_id));
-            Termination::Leaf
-        } else {
-            ctx.dfs_loop(&mut work, meter, &mut stats, &mut best, None)
-                .termination
-        };
-        let assignments = match best.2 {
-            Some(id) => {
-                ctx.switch_to(&mut work, &mut stats, id, false);
-                out.extend_from_slice(work.state.assignments());
-                std::mem::take(out)
-            }
-            None => Vec::new(),
-        };
-        let provenance = params
-            .provenance
-            .then(|| phase_provenance(work.arena, work.node_costs, best.2, screened_evidence));
-        return (
-            SearchOutcome {
-                assignments,
-                termination,
-                n_viable,
-                makespan: best.1,
-                stats,
-                provenance,
-            },
-            report,
-        );
-    }
-    report.split = true;
-
-    // Deterministic subtree specs, highest root priority first. `CL` is a
-    // stack (end = front), so subtree 0 — the branch the serial engine
-    // dives first — owns the last `CL` entry. Budget slices: each subtree
-    // gets 1/k of the remaining quantum, vertex cap and backtrack limit
-    // (the first `cap % k` subtrees absorb the vertex-cap remainder).
-    let quantum_slice = meter.remaining() / (k as u64);
-    let cap_left = ctx
-        .vertex_cap
-        .map(|cap| cap.saturating_sub(stats.vertices_generated));
-    let bt_slice = ctx.backtrack_limit.map(|limit| limit / (k as u64));
-    let specs: Vec<SubSpec> = (0..k)
-        .map(|i| {
-            let root_id = work.cl[k - 1 - i];
-            let node = work.arena[root_id];
-            // The state still sits at the root, so this recomputes exactly
-            // the completion the root expansion evaluated.
-            let completion =
-                work.state
-                    .completion_if(params.tasks, params.comm, node.task, node.processor);
-            SubSpec {
-                root_id,
-                task: node.task,
-                processor: node.processor,
-                completion,
-                makespan: root_makespan.max(completion),
-                vertex_cap: cap_left
-                    .map(|c| c / (k as u64) + u64::from((i as u64) < c % (k as u64))),
-                backtrack_limit: bt_slice,
-                quantum: quantum_slice,
-            }
-        })
-        .collect();
-
-    // Drain the k walks on `threads` OS threads (contiguous chunks of the
-    // per-subtree scratch pool). The thread count affects scheduling only —
-    // each walk's result is keyed by its subtree index, so the merge below
-    // sees the same inputs at any width.
-    if par.subs.len() < k {
-        par.subs.resize_with(k, SearchScratch::default);
-    }
-    // Each subtree walk profiles into its own scratch's profiler; the flag
-    // mirrors the phase profiler's so a disabled phase stays clock-free on
-    // every worker thread.
-    let prof_on = work.prof.enabled();
-    for sub in par.subs[..k].iter_mut() {
-        sub.prof.set_enabled(prof_on);
-    }
-    let host = meter.host_params();
-    let width = threads.max(1).min(k);
-    let mut runs: Vec<Option<SubRun>> = Vec::with_capacity(k);
-    runs.resize_with(k, || None);
-    if width == 1 {
-        for (slot, (sub_scratch, spec)) in runs.iter_mut().zip(par.subs[..k].iter_mut().zip(&specs))
-        {
-            *slot = Some(run_sub(&ctx, spec, sub_scratch, host));
-        }
-    } else {
-        let chunk = k.div_ceil(width);
-        let ctx_ref = &ctx;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = par.subs[..k]
-                .chunks_mut(chunk)
-                .zip(specs.chunks(chunk))
-                .map(|(scratches, chunk_specs)| {
-                    scope.spawn(move || {
-                        scratches
-                            .iter_mut()
-                            .zip(chunk_specs)
-                            .map(|(s, spec)| run_sub(ctx_ref, spec, s, host))
-                            .collect::<Vec<SubRun>>()
-                    })
-                })
-                .collect();
-            for (ci, handle) in handles.into_iter().enumerate() {
-                let walks = handle.join().expect("subtree search thread panicked");
-                for (j, walk) in walks.into_iter().enumerate() {
-                    runs[ci * chunk + j] = Some(walk);
-                }
-            }
-        });
-    }
-    let runs: Vec<SubRun> = runs
-        .into_iter()
-        .map(|r| r.expect("every subtree ran"))
-        .collect();
-
-    // Commit rule: the serial engine stops at the first leaf, so only the
-    // subtrees up to and including the lowest-index Leaf are "real" — later
-    // subtrees would never have run serially and are discarded wholesale.
-    let t_merge = work.prof.start();
-    let leaf_sub = runs.iter().position(|r| r.termination == Termination::Leaf);
-    let committed = leaf_sub.map_or(k, |l| l + 1);
-    report.committed = committed;
-
-    // Merge counters and meters in subtree-priority order, then add the
-    // cross-subtree bookkeeping the serial engine charges when hopping from
-    // the end of one exhausted subtree to the next root child: one
-    // backtrack per entered subtree after the first, and an undo of the
-    // previous subtree's final path (the common ancestor is the root, so
-    // no replay is avoided).
-    let mut entered_depths: Vec<u64> = Vec::new();
-    for run in &runs[..committed] {
-        merge_stats(&mut stats, &run.stats);
-        meter.absorb(run.vertices, run.consumed, run.exhausted);
-        if run.pops > 0 {
-            entered_depths.push(run.end_depth as u64);
-        }
-    }
-    stats.backtracks += (entered_depths.len() as u64).saturating_sub(1);
-    if entered_depths.len() >= 2 {
-        stats.undos += entered_depths[..entered_depths.len() - 1]
-            .iter()
-            .sum::<u64>();
-    }
-
-    // Best-vertex reduction. The stage fold over the root children already
-    // reproduces the serial engine's depth-1 ordering (lowest priority
-    // folded first), so only *interior* subtree bests (depth >= 2) compete:
-    // folding them in priority order under the same strict-improvement rule
-    // recovers exactly the serial "first optimum in exploration order". A
-    // leaf overrides unconditionally, as in the serial loop.
-    let mut owner: Option<usize> = None; // best's subtree; None = stage arena
-    let termination = if let Some(l) = leaf_sub {
-        best = runs[l].best;
-        owner = Some(l);
-        Termination::Leaf
-    } else {
-        for (i, run) in runs[..committed].iter().enumerate() {
-            let cand = run.best;
-            if cand.0 >= 2 && (cand.0 > best.0 || (cand.0 == best.0 && cand.1 < best.1)) {
-                best = cand;
-                owner = Some(i);
-            }
-        }
-        if runs[..committed]
-            .iter()
-            .any(|r| r.termination == Termination::QuantumExhausted)
-        {
-            Termination::QuantumExhausted
-        } else if runs[..committed]
-            .iter()
-            .any(|r| r.termination == Termination::Pruned)
-        {
-            Termination::Pruned
-        } else {
-            Termination::DeadEnd
-        }
-    };
-    work.prof.stop(Stage::Merge, t_merge);
-
-    // Deliver the best vertex's schedule from whichever arena owns it.
-    let assignments = match owner {
-        None => match best.2 {
-            Some(id) => {
-                ctx.switch_to(&mut work, &mut stats, id, false);
-                out.extend_from_slice(work.state.assignments());
-                std::mem::take(out)
-            }
-            None => Vec::new(),
-        },
-        Some(i) => {
-            let mut sub_work = Work::over(&mut par.subs[i]);
-            let id = best.2.expect("a subtree best always names a vertex");
-            ctx.switch_to(&mut sub_work, &mut stats, id, false);
-            out.extend_from_slice(sub_work.state.assignments());
-            std::mem::take(out)
-        }
-    };
-
-    // Provenance merge: the screen evidence comes from the shared prologue;
-    // the decision path from the owning arena. A subtree's depth-1 node
-    // repeats a stage root child, so its runner-up is among the *other*
-    // root children (stage arena); deeper nodes find their siblings in the
-    // subtree's own arena. The values match the serial engine's — only
-    // arena ids differ, and evidence carries none.
-    let provenance = params.provenance.then(|| match owner {
-        None => phase_provenance(work.arena, work.node_costs, best.2, screened_evidence),
-        Some(i) => {
-            let sub = &par.subs[i];
-            let id = best.2.expect("a subtree best always names a vertex");
-            let decisions = path_to(&sub.arena, id)
-                .into_iter()
-                .map(|nid| {
-                    let (node, (completion, cost)) = (&sub.arena[nid], sub.node_costs[nid]);
-                    PlacementEvidence {
-                        task: node.task,
-                        processor: node.processor,
-                        completion,
-                        cost,
-                        runner_up: if node.parent.is_none() {
-                            runner_up(work.arena, work.node_costs, specs[i].root_id)
-                        } else {
-                            runner_up(&sub.arena, &sub.node_costs, nid)
-                        },
-                    }
-                })
-                .collect();
-            PhaseProvenance {
-                screened: screened_evidence,
-                decisions,
-            }
-        }
-    });
-
-    // Fold every walk's stage times into the phase profiler (all k walks
-    // ran and burned wall time, committed or not) and record one walk entry
-    // each for the imbalance diagnostics. Both are no-ops when profiling is
-    // off; the enabled guard keeps the label allocation off the hot path.
-    if work.prof.enabled() {
-        for (i, run) in runs.iter().enumerate() {
-            work.prof.absorb(&par.subs[i].prof);
-            work.prof.record_walk(WalkProfile {
-                termination: termination_label(run.termination).to_string(),
-                vertices: run.vertices,
-                end_depth: run.end_depth,
-                pops: run.pops,
-                committed: i < committed,
-            });
-        }
-    }
-
-    report.subs = runs
-        .iter()
-        .enumerate()
-        .map(|(i, run)| SubReport {
-            termination: run.termination,
-            stats: run.stats,
-            pops: run.pops,
-            end_depth: run.end_depth,
-            committed: i < committed,
-            vertices: run.vertices,
-            consumed: run.consumed,
-        })
-        .collect();
-
-    (
-        SearchOutcome {
-            assignments,
-            termination,
-            n_viable,
-            makespan: best.1,
-            stats,
-            provenance,
-        },
-        report,
-    )
 }
 
 #[cfg(test)]
@@ -2682,174 +1879,6 @@ mod tests {
         assert!(out.assignments.is_empty());
     }
 
-    /// Runs the parallel engine at `threads` and asserts the outcome equals
-    /// `expected` field by field (plus the meter tallies).
-    fn assert_parallel_matches(
-        p: &SearchParams<'_>,
-        threads: usize,
-        mk_meter: &dyn Fn() -> SchedulingMeter,
-        expected: &SearchOutcome,
-        expected_meter: &SchedulingMeter,
-    ) -> ParallelReport {
-        let mut meter = mk_meter();
-        let mut scratch = SearchScratch::new();
-        let mut par = ParallelScratch::new();
-        let (out, report) =
-            search_schedule_parallel_with_report(p, threads, &mut meter, &mut scratch, &mut par);
-        assert_eq!(out.assignments, expected.assignments, "threads={threads}");
-        assert_eq!(out.termination, expected.termination, "threads={threads}");
-        assert_eq!(out.n_viable, expected.n_viable, "threads={threads}");
-        assert_eq!(out.makespan, expected.makespan, "threads={threads}");
-        assert_eq!(out.stats, expected.stats, "threads={threads}");
-        assert_eq!(out.provenance, expected.provenance, "threads={threads}");
-        assert_eq!(meter.vertices(), expected_meter.vertices());
-        assert_eq!(meter.consumed(), expected_meter.consumed());
-        assert_eq!(meter.exhausted(), expected_meter.exhausted());
-        report
-    }
-
-    #[test]
-    fn parallel_leaf_matches_serial_at_every_width() {
-        // Balanced feasible case: every subtree dead-ends or leafs without
-        // hitting a budget slice, so the merge must be bit-identical to the
-        // serial engine at any width.
-        let tasks: Vec<Task> = (0..6).map(|i| mk_task(i, 100, 100_000, &[])).collect();
-        let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
-        let initial = [Time::ZERO; 3];
-        let mut p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
-        p.provenance = true;
-        let mut serial_meter = free_meter();
-        let serial = search_schedule(&p, &mut serial_meter);
-        assert_eq!(serial.termination, Termination::Leaf);
-        for threads in [1, 2, 8] {
-            let report = assert_parallel_matches(&p, threads, &free_meter, &serial, &serial_meter);
-            assert!(report.split, "three root children should split");
-            assert_eq!(report.subtrees, 3);
-        }
-    }
-
-    #[test]
-    fn parallel_backtracking_case_matches_serial() {
-        // The greedy-mistake scenario: subtree 0 (A on P0) dead-ends, the
-        // serial engine backtracks into subtree 1 (A on P1) and completes.
-        // The parallel merge must reproduce the cross-subtree backtrack and
-        // undo accounting exactly.
-        let tasks = vec![mk_task(0, 100, 150, &[0, 1]), mk_task(1, 100, 150, &[0])];
-        let comm = CommModel::constant(Duration::from_micros(1_000));
-        let repr = Representation::assignment_oriented();
-        let initial = [Time::ZERO; 2];
-        let mut p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
-        p.provenance = true;
-        let mut serial_meter = free_meter();
-        let serial = search_schedule(&p, &mut serial_meter);
-        assert_eq!(serial.termination, Termination::Leaf);
-        assert!(serial.stats.backtracks > 0);
-        for threads in [1, 2, 8] {
-            let report = assert_parallel_matches(&p, threads, &free_meter, &serial, &serial_meter);
-            assert!(report.split);
-            assert_eq!(report.committed, 2, "leaf in subtree 1 commits both");
-            assert_eq!(report.subs[0].termination, Termination::DeadEnd);
-            assert_eq!(report.subs[1].termination, Termination::Leaf);
-        }
-    }
-
-    #[test]
-    fn parallel_dead_end_matches_serial() {
-        // 5 equal tasks, 2 processors, only 4 fit by the deadline: the
-        // exhaustive search dead-ends. Every subtree dead-ends too, so
-        // parallel == serial.
-        let tasks: Vec<Task> = (0..5).map(|i| mk_task(i, 100, 250, &[])).collect();
-        let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
-        let initial = [Time::ZERO; 2];
-        let mut p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
-        p.provenance = true;
-        let mut serial_meter = free_meter();
-        let serial = search_schedule(&p, &mut serial_meter);
-        assert_eq!(serial.termination, Termination::DeadEnd);
-        for threads in [1, 2, 8] {
-            assert_parallel_matches(&p, threads, &free_meter, &serial, &serial_meter);
-        }
-    }
-
-    #[test]
-    fn parallel_is_width_invariant_under_budget_slicing() {
-        // A tight meter makes the subtree quantum slices bind, so the
-        // outcome legitimately differs from serial — but it must still be
-        // bit-identical across widths, and the counters must stay coherent.
-        let tasks: Vec<Task> = (0..10).map(|i| mk_task(i, 100, 400, &[])).collect();
-        let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
-        let initial = [Time::ZERO; 2];
-        let p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
-        let mk_meter = || {
-            SchedulingMeter::new(
-                HostParams::new(Duration::from_micros(1)),
-                Duration::from_micros(97),
-            )
-        };
-        let mut meter = mk_meter();
-        let mut scratch = SearchScratch::new();
-        let mut par = ParallelScratch::new();
-        let (base, report) =
-            search_schedule_parallel_with_report(&p, 1, &mut meter, &mut scratch, &mut par);
-        assert!(report.split);
-        assert_eq!(
-            meter.vertices(),
-            base.stats.vertices_generated,
-            "accounting invariant survives the merge"
-        );
-        for threads in [2, 3, 8, 16] {
-            assert_parallel_matches(&p, threads, &mk_meter, &base, &meter);
-        }
-    }
-
-    #[test]
-    fn parallel_reuses_scratches_across_phases() {
-        let tasks: Vec<Task> = (0..6).map(|i| mk_task(i, 100, 100_000, &[])).collect();
-        let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
-        let initial = [Time::ZERO; 3];
-        let p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
-        let mut scratch = SearchScratch::new();
-        let mut par = ParallelScratch::new();
-        let mut meter = free_meter();
-        let first = search_schedule_parallel(&p, 4, &mut meter, &mut scratch, &mut par);
-        for _ in 0..3 {
-            let mut meter = free_meter();
-            let again = search_schedule_parallel(&p, 4, &mut meter, &mut scratch, &mut par);
-            assert_eq!(again.assignments, first.assignments);
-            assert_eq!(again.stats, first.stats);
-        }
-    }
-
-    #[test]
-    fn parallel_trivial_and_degenerate_batches() {
-        let comm = CommModel::free();
-        let repr = Representation::assignment_oriented();
-        let initial = [Time::ZERO; 2];
-        let mut scratch = SearchScratch::new();
-        let mut par = ParallelScratch::new();
-
-        // Empty batch: trivial leaf, no split.
-        let empty: Vec<Task> = Vec::new();
-        let p = params(&empty, &comm, &initial, &repr, ChildOrder::LoadBalance);
-        let (out, report) =
-            search_schedule_parallel_with_report(&p, 8, &mut free_meter(), &mut scratch, &mut par);
-        assert_eq!(out.termination, Termination::Leaf);
-        assert!(!report.split);
-
-        // Single task: one subtree, serial fallback path.
-        let one = vec![mk_task(0, 100, 100_000, &[])];
-        let p = params(&one, &comm, &initial, &repr, ChildOrder::LoadBalance);
-        let (out, report) =
-            search_schedule_parallel_with_report(&p, 8, &mut free_meter(), &mut scratch, &mut par);
-        assert_eq!(out.termination, Termination::Leaf);
-        assert!(!report.split, "k < 2 never splits");
-        assert_eq!(out.assignments.len(), 1);
-    }
-
     #[test]
     fn one_node_topology_is_bit_identical_to_constant() {
         use rt_task::TopologySpec;
@@ -2903,29 +1932,6 @@ mod tests {
             "sharded expansion evaluated {per_expansion} candidates on average, \
              expected at most fanout * node size = 8"
         );
-    }
-
-    #[test]
-    fn sharded_parallel_matches_serial() {
-        use rt_task::TopologySpec;
-        let topo = TopologySpec::new(12, 3, 1, 0, 1_000, 1_000);
-        let comm = CommModel::hierarchical(topo);
-        let tasks: Vec<Task> = (0..15)
-            .map(|i| mk_task(i, 250 + i * 11, 150_000, &[(i as usize) % 12]))
-            .collect();
-        let repr = Representation::assignment_oriented();
-        let initial = [Time::ZERO; 12];
-        let p = params(&tasks, &comm, &initial, &repr, ChildOrder::LoadBalance);
-        let serial = search_schedule(&p, &mut free_meter());
-        let mut scratch = SearchScratch::new();
-        let mut par = ParallelScratch::new();
-        for threads in [1, 4] {
-            let out =
-                search_schedule_parallel(&p, threads, &mut free_meter(), &mut scratch, &mut par);
-            assert_eq!(out.assignments, serial.assignments, "threads={threads}");
-            assert_eq!(out.makespan, serial.makespan);
-            assert_eq!(out.stats, serial.stats);
-        }
     }
 
     #[test]

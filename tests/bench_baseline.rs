@@ -52,19 +52,22 @@ fn committed_baseline_covers_the_canonical_points_with_profiles() {
         .iter()
         .map(|p| field(p, "name").as_str().expect("point name"))
         .collect();
-    for required in [
-        "deep_dive_64",
-        "mixed_150x8",
-        "tight_150x8",
-        "sharded_1024x64",
-    ] {
-        assert!(
-            names.contains(&required),
-            "baseline lost canonical point {required:?}; have {names:?}"
-        );
-    }
+    // Exactly the canonical points: a lost point escapes the gate, and an
+    // extra one is a point `bench-snapshot` no longer measures.
+    assert_eq!(
+        names,
+        [
+            "deep_dive_64",
+            "mixed_150x8",
+            "tight_150x8",
+            "sharded_1024x64"
+        ],
+        "baseline point set differs from the canonical points; regenerate"
+    );
     // Every point carries a stage profile whose fractions cover the
-    // attributed time (the bench-diff stage comparison reads these).
+    // attributed time (the bench-diff stage comparison reads these), over
+    // the current stage set: no `merge` stage or walk `imbalance`, which
+    // only existed while phases could split into parallel walks.
     for p in points {
         let name = field(p, "name").as_str().unwrap();
         let profile = field(p, "profile")
@@ -74,6 +77,12 @@ fn committed_baseline_covers_the_canonical_points_with_profiles() {
             profile.iter().any(|(k, _)| k == "select"),
             "point {name:?} profile predates the select stage; regenerate"
         );
+        for stale in ["merge", "imbalance"] {
+            assert!(
+                profile.iter().all(|(k, _)| k != stale),
+                "point {name:?} profile still carries {stale:?}; regenerate"
+            );
+        }
         let total_ns = profile
             .iter()
             .find(|(k, _)| k == "total_ns")
@@ -82,7 +91,7 @@ fn committed_baseline_covers_the_canonical_points_with_profiles() {
         if total_ns > 0 {
             let sum: f64 = profile
                 .iter()
-                .filter(|(k, _)| !matches!(k.as_str(), "total_ns" | "imbalance"))
+                .filter(|(k, _)| k != "total_ns")
                 .filter_map(|(_, v)| v.as_f64())
                 .sum();
             assert!(
