@@ -306,6 +306,9 @@ pub struct SearchScratch {
     level_task: Vec<usize>,
     /// Per-task verdict of the phase-level viability screen.
     viable: Vec<bool>,
+    /// Per-phase class floors of the initial finish times the viability
+    /// screen reads (see [`ClassFloors`]).
+    floors: ClassFloors,
     /// Cumulative shard end indices under a hierarchical topology (the
     /// node partition handed to [`PathState::configure_shards`]).
     shard_ends: Vec<usize>,
@@ -438,6 +441,7 @@ fn search_core(
         comp,
         level_task,
         viable,
+        floors,
         shard_ends,
         shard_rank,
         state: state_slot,
@@ -487,10 +491,12 @@ fn search_core(
     // Screening it out once keeps expansions from re-evaluating it at every
     // level. (Like the paper's per-phase batch expiry test, this screen is
     // not charged against the quantum; screened tasks stay in the batch.)
-    // Under provenance a screen rejection also records its witness probe;
-    // the verdicts are identical.
+    // The earliest completion over every processor comes from per-class
+    // floors filled once per phase, not from one probe per processor; under
+    // provenance a rejection also records its witness, the argmin the same
+    // floors yield, so the verdicts are identical (DESIGN.md §6.2).
     let t_screen = prof.start();
-    let screened_evidence = screen_batch(params, viable);
+    let screened_evidence = screen_batch(params, floors, viable);
     prof.stop(Stage::Screen, t_screen);
     let viable: &[bool] = viable;
     let n_viable = viable.iter().filter(|&&v| v).count();
@@ -677,6 +683,13 @@ impl Walk<'_, '_> {
             params.tasks.len(),
             params.resources.clone(),
         );
+        // The shard-first generator reads shard minima, so the rebuilt
+        // state carries the same shard partition as the incremental one.
+        if let Some(topo) = self.shards {
+            let mut ends = Vec::new();
+            node_ends_into(topo, &mut ends);
+            state.configure_shards(&ends);
+        }
         for &i in chain.iter().rev() {
             let node = &self.arena[i];
             state.apply(params.tasks, params.comm, node.task, node.processor);
@@ -1143,26 +1156,73 @@ impl Walk<'_, '_> {
 
 /// The phase-level viability screen over the whole batch: fills `viable`
 /// with one verdict per task and returns the evidence for rejected tasks
-/// (empty unless [`SearchParams::provenance`] is set). One short-circuiting
-/// loop serves both modes: a rejected task has scanned every processor, so
-/// its earliest-completion witness falls out of the same pass.
-fn screen_batch(params: &SearchParams<'_>, viable: &mut Vec<bool>) -> Vec<ScreenEvidence> {
+/// (empty unless [`SearchParams::provenance`] is set).
+///
+/// Under the constant and hierarchical models the verdict and the witness
+/// both come from [`ClassFloors::earliest`], the exact earliest completion
+/// over every processor, after two O(1) bounds that settle most tasks: a
+/// task whose completion misses even on the least-loaded processor at zero
+/// cost is rejected, and one that meets it there at the model's highest
+/// cost is accepted. Only the mesh model, whose cost differs per processor,
+/// keeps the per-processor scan ([`screen_batch_scan`]).
+fn screen_batch(
+    params: &SearchParams<'_>,
+    floors: &mut ClassFloors,
+    viable: &mut Vec<bool>,
+) -> Vec<ScreenEvidence> {
+    let finish = params.initial_finish;
+    // The highest cost the model charges any task on any processor. Under a
+    // topology this is the inter-rack class, not `worst_class()`: a task
+    // whose affinity lies wholly outside the machine pays inter-rack on
+    // every processor, even on a one-rack topology.
+    let ceiling = match params.comm {
+        CommModel::Mesh { .. } => return screen_batch_scan(params, viable),
+        // No processors: the scan rejects every task, with no witness.
+        _ if finish.is_empty() => return screen_batch_scan(params, viable),
+        CommModel::Constant { c } => *c,
+        CommModel::Hierarchical { spec } => {
+            assert_eq!(
+                spec.workers(),
+                finish.len(),
+                "topology processor count must match the phase's processors"
+            );
+            spec.inter_rack_cost()
+        }
+    };
+    floors.fill(finish, params.comm.topology());
+    let mut screened_evidence: Vec<ScreenEvidence> = Vec::new();
+    for (idx, t) in params.tasks.iter().enumerate() {
+        let floor = floors.global.0 + t.processing_time();
+        let ok = t.meets_deadline(floor)
+            && (t.meets_deadline(floor + ceiling)
+                || t.meets_deadline(floors.earliest(t, params.comm, finish).0));
+        viable.push(ok);
+        if !ok && params.provenance {
+            let (completion, p) = floors.earliest(t, params.comm, finish);
+            let witness = probe(params, t, ProcessorId::new(p));
+            debug_assert_eq!(witness.completion, completion);
+            screened_evidence.push(ScreenEvidence { task: idx, witness });
+        }
+    }
+    screened_evidence
+}
+
+/// The per-processor viability screen: one `comm.demand` probe per
+/// processor for each task, short-circuiting on the first that meets the
+/// deadline. A rejected task has scanned every processor, so its
+/// earliest-completion witness falls out of the same pass. Production runs
+/// it only under the mesh model; it is also the oracle the class-floor
+/// screen is tested against.
+fn screen_batch_scan(params: &SearchParams<'_>, viable: &mut Vec<bool>) -> Vec<ScreenEvidence> {
     let mut screened_evidence: Vec<ScreenEvidence> = Vec::new();
     for (idx, t) in params.tasks.iter().enumerate() {
         let mut witness: Option<ScreenProbe> = None;
         let ok = ProcessorId::all(params.initial_finish.len()).any(|p| {
-            let available = params.initial_finish[p.index()];
-            let demand = params.comm.demand(t, p);
-            let completion = available + demand;
-            if params.provenance && witness.is_none_or(|w| completion < w.completion) {
-                witness = Some(ScreenProbe {
-                    processor: p,
-                    available,
-                    demand,
-                    completion,
-                });
+            let probe = probe(params, t, p);
+            if params.provenance && witness.is_none_or(|w| probe.completion < w.completion) {
+                witness = Some(probe);
             }
-            t.meets_deadline(completion)
+            t.meets_deadline(probe.completion)
         });
         viable.push(ok);
         if let (false, Some(witness)) = (ok, witness) {
@@ -1170,6 +1230,166 @@ fn screen_batch(params: &SearchParams<'_>, viable: &mut Vec<bool>) -> Vec<Screen
         }
     }
     screened_evidence
+}
+
+/// The feasibility test's operands for `t` on `p` against the initial
+/// finish times.
+fn probe(params: &SearchParams<'_>, t: &Task, p: ProcessorId) -> ScreenProbe {
+    let available = params.initial_finish[p.index()];
+    let demand = params.comm.demand(t, p);
+    ScreenProbe {
+        processor: p,
+        available,
+        demand,
+        completion: available + demand,
+    }
+}
+
+/// Per-phase floors of the initial finish times for the class-floor
+/// viability screen: the least finish time, with its lowest-index
+/// processor, over the whole machine and, under a hierarchical model, over
+/// each node and each rack. Filled once per phase in O(P); the buffers live
+/// in [`SearchScratch`], so warm phases do not allocate.
+#[derive(Debug, Default)]
+struct ClassFloors {
+    global: (Time, usize),
+    node: Vec<NodeFloor>,
+    rack: Vec<(Time, usize)>,
+}
+
+/// One node's floor, with the node's processor range and rack so the
+/// screen does no topology arithmetic per task.
+#[derive(Debug, Clone, Copy)]
+struct NodeFloor {
+    floor: (Time, usize),
+    lo: usize,
+    hi: usize,
+    rack: usize,
+}
+
+impl ClassFloors {
+    /// Recomputes the floors of `finish` (non-empty). Node and rack floors
+    /// are filled only under a topology.
+    fn fill(&mut self, finish: &[Time], topo: Option<&rt_task::TopologySpec>) {
+        self.node.clear();
+        self.rack.clear();
+        let Some(topo) = topo else {
+            self.global = floor_of(finish, 0, finish.len());
+            return;
+        };
+        // Nodes and racks are contiguous and ascending, so folding node
+        // floors in order with a strict `<` keeps each rack's (and the
+        // machine's) lowest-index argmin.
+        for n in 0..topo.nodes() {
+            let (lo, hi) = topo.node_range(n);
+            let floor = floor_of(finish, lo, hi);
+            let rack = topo.rack_of_node(n);
+            match self.rack.get_mut(rack) {
+                Some(r) if floor.0 < r.0 => *r = floor,
+                Some(_) => {}
+                None => self.rack.push(floor),
+            }
+            self.node.push(NodeFloor {
+                floor,
+                lo,
+                hi,
+                rack,
+            });
+        }
+        self.global = self.rack[0];
+        for &f in &self.rack[1..] {
+            if f.0 < self.global.0 {
+                self.global = f;
+            }
+        }
+    }
+
+    /// The exact earliest completion of `t` over every processor, with its
+    /// lowest-index processor: the least of one term per cost class, each
+    /// the class's cost added to the floor of a superset of the processors
+    /// it prices. Costs are non-decreasing in distance, so a processor that
+    /// also falls in a farther class's superset is charged at least its true
+    /// cost there, and the least term is its true completion (DESIGN.md
+    /// §6.2). The affine processors of a class are read only while their
+    /// floor could still beat the best term, so a free intra-node class
+    /// never reads them. `comm` is constant or hierarchical.
+    fn earliest(&self, t: &Task, comm: &CommModel, finish: &[Time]) -> (Time, usize) {
+        let pt = t.processing_time();
+        let affinity = t.affinity();
+        let (global, at) = self.global;
+        let affine_min = |best: (Time, usize), lo: usize, hi: usize| {
+            affinity.iter_range(lo, hi).fold(best, |best, p| {
+                best.min((finish[p.index()] + pt, p.index()))
+            })
+        };
+        match comm {
+            CommModel::Constant { c } => {
+                let best = (global + pt + *c, at);
+                if (global + pt, at) < best {
+                    affine_min(best, 0, finish.len())
+                } else {
+                    best
+                }
+            }
+            CommModel::Hierarchical { spec } if affinity.is_empty() => {
+                (global + pt + spec.worst_class(), at)
+            }
+            CommModel::Hierarchical { spec } => {
+                let mut best = (global + pt + spec.inter_rack_cost(), at);
+                let mut rack_seen = None;
+                for node in &self.node {
+                    if !affinity.intersects_range(node.lo, node.hi) {
+                        continue;
+                    }
+                    if rack_seen != Some(node.rack) {
+                        rack_seen = Some(node.rack);
+                        let (f, q) = self.rack[node.rack];
+                        best = best.min((f + pt + spec.inter_node_cost(), q));
+                    }
+                    let (f, q) = node.floor;
+                    best = best.min((f + pt + spec.intra_node_cost(), q));
+                    if (f + pt, q) < best {
+                        best = affine_min(best, node.lo, node.hi);
+                    }
+                }
+                best
+            }
+            CommModel::Mesh { .. } => unreachable!("the mesh model screens per processor"),
+        }
+    }
+}
+
+/// The least `finish[p]` over `lo..hi` (non-empty), with its lowest `p`.
+fn floor_of(finish: &[Time], lo: usize, hi: usize) -> (Time, usize) {
+    let mut floor = (finish[lo], lo);
+    for (p, &f) in finish.iter().enumerate().take(hi).skip(lo + 1) {
+        if f < floor.0 {
+            floor = (f, p);
+        }
+    }
+    floor
+}
+
+/// The phase-level viability screen on its own: one verdict per task and,
+/// when [`SearchParams::provenance`] is set, a witness per rejected task,
+/// exactly as [`search_schedule`] computes them. Exposed with the replay
+/// oracle so tests can hold it against [`screen_batch_oracle`].
+#[cfg(any(test, feature = "replay-oracle"))]
+#[must_use]
+pub fn screen_batch_verdicts(params: &SearchParams<'_>) -> (Vec<bool>, Vec<ScreenEvidence>) {
+    let mut viable = Vec::new();
+    let evidence = screen_batch(params, &mut ClassFloors::default(), &mut viable);
+    (viable, evidence)
+}
+
+/// The per-processor screen the class-floor screen must equal: one probe
+/// per processor per task, whatever the model.
+#[cfg(any(test, feature = "replay-oracle"))]
+#[must_use]
+pub fn screen_batch_oracle(params: &SearchParams<'_>) -> (Vec<bool>, Vec<ScreenEvidence>) {
+    let mut viable = Vec::new();
+    let evidence = screen_batch_scan(params, &mut viable);
+    (viable, evidence)
 }
 
 /// The runner-up of arena node `id`: its highest-ranked same-task sibling.

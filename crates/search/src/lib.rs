@@ -34,7 +34,7 @@ mod repr;
 mod state;
 
 #[cfg(any(test, feature = "replay-oracle"))]
-pub use engine::search_schedule_replay;
+pub use engine::{screen_batch_oracle, screen_batch_verdicts, search_schedule_replay};
 pub use engine::{
     search_schedule, search_schedule_with, PhaseProvenance, PlacementAlternative,
     PlacementEvidence, Pruning, ScreenEvidence, ScreenProbe, SearchOutcome, SearchParams,

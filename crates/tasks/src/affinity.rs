@@ -95,13 +95,36 @@ impl AffinitySet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Iterates over member processors in ascending index order.
+    /// Iterates over member processors in ascending index order, in
+    /// O(words + members): each step clears the lowest set bit.
     pub fn iter(&self) -> impl Iterator<Item = ProcessorId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64)
-                .filter(move |bit| w & (1u64 << bit) != 0)
-                .map(move |bit| ProcessorId::new(wi * 64 + bit))
-        })
+        self.iter_range(0, usize::MAX)
+    }
+
+    /// Iterates over the members inside the half-open index range
+    /// `[lo, hi)` in ascending order, reading only the words that overlap
+    /// it.
+    pub fn iter_range(&self, lo: usize, hi: usize) -> impl Iterator<Item = ProcessorId> + '_ {
+        let first = (lo / 64).min(self.words.len());
+        self.words[first..]
+            .iter()
+            .enumerate()
+            .map_while(move |(i, &w)| {
+                let base = (first + i) * 64;
+                (base < hi).then_some((base, w))
+            })
+            .flat_map(move |(base, w)| {
+                let mut bits = w;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let bit = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        base + bit
+                    })
+                })
+            })
+            .filter(move |&p| lo <= p && p < hi)
+            .map(ProcessorId::new)
     }
 
     /// The fraction of the `total` processors this task has affinity with —
@@ -246,6 +269,32 @@ mod tests {
         assert!(!s.contains(ProcessorId::new(129)));
         let members: Vec<usize> = s.iter().map(ProcessorId::index).collect();
         assert_eq!(members, vec![0, 63, 64, 130]);
+    }
+
+    #[test]
+    fn iter_range_matches_a_filtered_iter() {
+        let s: AffinitySet = [0usize, 5, 63, 64, 65, 127, 128, 200]
+            .into_iter()
+            .map(ProcessorId::new)
+            .collect();
+        for (lo, hi) in [
+            (0, 0),
+            (0, 1),
+            (1, 64),
+            (5, 66),
+            (63, 129),
+            (64, 128),
+            (100, 300),
+        ] {
+            let got: Vec<usize> = s.iter_range(lo, hi).map(ProcessorId::index).collect();
+            let want: Vec<usize> = s
+                .iter()
+                .map(ProcessorId::index)
+                .filter(|&p| lo <= p && p < hi)
+                .collect();
+            assert_eq!(got, want, "range [{lo}, {hi})");
+        }
+        assert_eq!(s.iter_range(500, 600).count(), 0);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 
 use paragon_des::{Duration, SimRng, Time};
 use paragon_platform::{HostParams, SchedulingMeter};
-use rt_task::{AffinitySet, CommModel, ProcessorId, ResourceEats, ResourceRequest, Task, TaskId};
+use rt_task::{
+    AffinitySet, CommModel, ProcessorId, ResourceEats, ResourceRequest, Task, TaskId, TopologySpec,
+};
 use sched_search::{
     search_schedule, search_schedule_replay, search_schedule_with, ChildOrder, ProcessorOrder,
     Pruning, Representation, SearchParams, SearchScratch, TaskOrder,
@@ -103,13 +105,33 @@ impl Instance {
 
 fn random_instance(rng: &mut SimRng) -> Instance {
     let n = rng.uniform_usize(0..24);
-    let workers = rng.uniform_usize(1..5);
-    let tasks = random_tasks(rng, n, workers);
-    let comm = match rng.uniform_usize(0..3) {
-        0 => CommModel::free(),
-        1 => CommModel::constant(Duration::from_micros(50)),
-        _ => CommModel::constant(Duration::from_micros(2_000)),
+    // A quarter of the instances run on a sharded cluster (2-8 nodes in 1-2
+    // racks, up to 64 workers), so every pass also reaches the shard-first
+    // candidate path and the hierarchical screen; the rest keep the paper's
+    // small flat machine under a constant model.
+    let (workers, comm) = if rng.bernoulli(0.25) {
+        let nodes = rng.uniform_usize(2..9);
+        let racks = rng.uniform_usize(1..3);
+        let workers = rng.uniform_usize(nodes..65);
+        let intra = if rng.bernoulli(0.5) { 0 } else { 50 };
+        let topo = TopologySpec::new(
+            workers as u32,
+            nodes as u32,
+            racks as u32,
+            intra,
+            500,
+            2_000,
+        );
+        (workers, CommModel::hierarchical(topo))
+    } else {
+        let comm = match rng.uniform_usize(0..3) {
+            0 => CommModel::free(),
+            1 => CommModel::constant(Duration::from_micros(50)),
+            _ => CommModel::constant(Duration::from_micros(2_000)),
+        };
+        (rng.uniform_usize(1..5), comm)
     };
+    let tasks = random_tasks(rng, n, workers);
     let initial: Vec<Time> = (0..workers)
         .map(|_| Time::from_micros(rng.uniform_u64(0..300)))
         .collect();
@@ -291,23 +313,27 @@ fn profiled_search_is_bit_identical_to_unprofiled() {
 }
 
 /// The degenerate-topology contract: a 1-node/1-rack [`TopologySpec`] is the
-/// paper's flat machine, so swapping every instance's flat `CommModel` for
+/// paper's flat machine, so swapping every flat instance's `CommModel` for
 /// the equivalent one-node hierarchical model must leave the entire
 /// `SearchOutcome` — assignments, termination, viability count, makespan,
 /// every stats counter, provenance and the meter — bit-identical across the
-/// same 500 seeded instances. The shard-first candidate screen must never
-/// engage (it needs >= 2 nodes), so its counters stay zero.
+/// flat instances of the same 500 seeded ones. The shard-first candidate
+/// screen must never engage (it needs >= 2 nodes), so its counters stay
+/// zero.
 #[test]
 fn one_node_topology_is_bit_identical_to_the_flat_model() {
-    use rt_task::TopologySpec;
-
     let parent = SimRng::seed_from(0x5AD5_D1FF);
     let mut flat_scratch = SearchScratch::new();
     let mut topo_scratch = SearchScratch::new();
+    let mut compared = 0u64;
 
     for i in 0..INSTANCES {
         let mut rng = parent.child(i);
         let flat = random_instance(&mut rng);
+        if flat.comm.topology().is_some() {
+            continue;
+        }
+        compared += 1;
         let workers = flat.initial.len();
         // Every flat sweep instance uses a Constant model (free() is the
         // zero-cost constant), so the equivalent degenerate topology is one
@@ -347,11 +373,13 @@ fn one_node_topology_is_bit_identical_to_the_flat_model() {
         flat_scratch.recycle(a.assignments);
         topo_scratch.recycle(b.assignments);
     }
+    assert!(compared > INSTANCES / 2, "only {compared} flat instances");
 }
 
-/// Witness soundness over the same 500 seeded flat instances plus a sharded
-/// twin of each (the same tasks on a 2+-node hierarchical topology, where
-/// the shard-first candidate screen engages), with provenance forced on:
+/// Witness soundness over the same 500 seeded instances plus a sharded
+/// twin of each flat one (the same tasks on a 2+-node hierarchical
+/// topology, where the shard-first candidate screen engages), with
+/// provenance forced on:
 ///
 /// 1. every screen witness is the argmin of `initial_finish[p] +
 ///    comm.demand(t, p)` over all `p` (ties to the lowest index) and misses
@@ -363,7 +391,6 @@ fn one_node_topology_is_bit_identical_to_the_flat_model() {
 ///    makespan, stats and meter are identical with it on and off.
 #[test]
 fn provenance_witnesses_are_sound_and_record_only() {
-    use rt_task::TopologySpec;
     use sched_search::PathState;
 
     let parent = SimRng::seed_from(0x5AD5_D1FF);
@@ -377,8 +404,9 @@ fn provenance_witnesses_are_sound_and_record_only() {
         let mut flat = random_instance(&mut rng);
         flat.provenance = true;
         let workers = flat.initial.len();
-        let mut variants = vec![("flat", flat)];
-        if workers >= 2 {
+        let drawn_sharded = flat.comm.topology().is_some_and(|t| t.nodes() > 1);
+        let mut variants = vec![(if drawn_sharded { "sharded" } else { "flat" }, flat)];
+        if workers >= 2 && !drawn_sharded {
             let base = &variants[0].1;
             let nodes = rng.uniform_usize(2..workers + 1) as u32;
             let racks = rng.uniform_usize(1..nodes as usize + 1) as u32;
